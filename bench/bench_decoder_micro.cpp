@@ -9,9 +9,10 @@
 //                    .json): ns/packet and allocations/decode for the
 //                    workspace path, the allocating wrappers, and a frozen
 //                    seed-equivalent reference (the pre-workspace
-//                    implementation, kept verbatim below so the perf
-//                    trajectory keeps a fixed baseline). --quick shrinks
-//                    the iteration count. scripts/check.sh gates on
+//                    implementation, kept verbatim below on the scalar
+//                    kernels of tests/reference/scalar_conditioning.h, so
+//                    the perf trajectory keeps a fixed baseline). --quick
+//                    shrinks the iteration count. scripts/check.sh gates on
 //                    allocs_per_decode == 0 for the workspace rows.
 #include <chrono>
 #include <string>
@@ -25,11 +26,12 @@
 #include "phy/ofdm_envelope.h"
 #include "reader/conditioning.h"
 #include "reader/decode_workspace.h"
+#include "reader/frame_sync.h"
 #include "reader/uplink_decoder.h"
+#include "reference/scalar_conditioning.h"
 #include "tag/energy_detector.h"
 #include "tag/modulator.h"
 #include "util/args.h"
-#include "util/dsp.h"
 #include "wifi/traffic.h"
 
 namespace {
@@ -83,14 +85,21 @@ void BM_Conditioning(benchmark::State& state) {
 BENCHMARK(BM_Conditioning);
 
 void BM_PreambleCorrelation(benchmark::State& state) {
+  // One frame-sync candidate: the shared slot map plus every stream's
+  // preamble correlation and the top-G ranking at the true start.
   const auto ct =
       reader::condition(shared_trace(), reader::MeasurementSource::kCsi);
-  const reader::UplinkDecoder dec(shared_decoder_config());
-  std::size_t stream = 0;
+  const auto cfg = shared_decoder_config();
+  std::vector<double> bipolar;
+  for (const std::uint8_t b : cfg.preamble) bipolar.push_back(b ? 1.0 : -1.0);
+  const reader::frame_sync::Template tmpl{
+      bipolar, cfg.bit_duration_us,
+      reader::frame_sync::min_filled_for(cfg.min_preamble_fill,
+                                         bipolar.size())};
+  reader::DecodeWorkspace ws;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        dec.preamble_correlation(ct, stream, TimeUs{600'000}));
-    stream = (stream + 1) % ct.num_streams();
+    benchmark::DoNotOptimize(reader::frame_sync::score(
+        ct, tmpl, TimeUs{600'000}, cfg.num_good_streams, ws));
   }
 }
 BENCHMARK(BM_PreambleCorrelation);
@@ -99,8 +108,12 @@ void BM_FrameSync(benchmark::State& state) {
   const auto ct =
       reader::condition(shared_trace(), reader::MeasurementSource::kCsi);
   const reader::UplinkDecoder dec(shared_decoder_config());
+  reader::DecodeWorkspace ws;
+  TimeUs start{0};
+  double score = 0.0;
+  obs::DropReason failure{};
   for (auto _ : state) {
-    benchmark::DoNotOptimize(dec.find_frame(ct));
+    benchmark::DoNotOptimize(dec.find_frame(ct, ws, start, score, failure));
   }
 }
 BENCHMARK(BM_FrameSync);
@@ -117,16 +130,20 @@ void BM_FullDecode(benchmark::State& state) {
 BENCHMARK(BM_FullDecode);
 
 void BM_MovingAverage(benchmark::State& state) {
-  std::vector<double> xs(static_cast<std::size_t>(state.range(0)));
-  std::vector<TimeUs> ts(xs.size());
+  // Conditioning of an N-record RSSI capture (three streams): the moving
+  // average window walk dominates at these lengths.
+  wifi::CaptureTrace trace(static_cast<std::size_t>(state.range(0)));
   sim::RngStream rng(3);
-  for (std::size_t i = 0; i < xs.size(); ++i) {
-    xs[i] = rng.normal();
-    ts[i] = TimeUs{static_cast<std::int64_t>(i)} * 333;
+  for (std::size_t i = 0; i < trace.size(); ++i) {
+    trace[i].timestamp_us = TimeUs{static_cast<std::int64_t>(i)} * 333;
+    for (double& v : trace[i].rssi_dbm) v = rng.normal();
   }
+  reader::DecodeWorkspace ws;
+  reader::ConditionedTrace out;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        reader::remove_time_moving_average(ts, xs, TimeUs{400'000}));
+    reader::condition_into(trace, reader::MeasurementSource::kRssi,
+                           TimeUs{400'000}, ws, out);
+    benchmark::DoNotOptimize(out.timestamps.data());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           state.range(0));
@@ -152,7 +169,7 @@ BENCHMARK(BM_EnergyDetectorStep);
 /// The seed's condition() implementation, frozen verbatim (modulo the
 /// metrics block) as the perf baseline: AoS per-record collection via
 /// push_back with per-call stream_csi index arithmetic, then the
-/// allocating dsp wrappers per stream. Produces values identical to
+/// allocating scalar kernels per stream. Produces values identical to
 /// reader::condition — only the memory behaviour differs.
 reader::ConditionedTrace condition_seed(const wifi::CaptureTrace& trace,
                                         reader::MeasurementSource source,
@@ -175,9 +192,9 @@ reader::ConditionedTrace condition_seed(const wifi::CaptureTrace& trace,
   }
   out.streams.resize(num_streams);
   for (std::size_t s = 0; s < num_streams; ++s) {
-    auto centered = reader::remove_time_moving_average(
+    auto centered = reference::remove_time_moving_average(
         out.timestamps, raw[s], movavg_window_us);
-    out.streams[s] = normalize_mad(centered);
+    out.streams[s] = reference::normalize_mad(centered);
   }
   return out;
 }
@@ -185,7 +202,7 @@ reader::ConditionedTrace condition_seed(const wifi::CaptureTrace& trace,
 /// The pre-vectorisation workspace conditioning, frozen as the scalar
 /// reference for the conditioning speedup gate (scripts/check.sh passes
 /// --min-conditioning-speedup to the validator): SoA collection into
-/// reused per-stream buffers, then the retained span kernels one stream
+/// reused per-stream buffers, then the scalar span kernels one stream
 /// at a time. Values are identical to condition_into and both paths are
 /// allocation-free once warm — the only difference is stream batching,
 /// so the conditioning_workspace/conditioning_scalar ratio measures the
@@ -235,11 +252,11 @@ void condition_scalar_into(const wifi::CaptureTrace& trace,
   out.streams.resize(num_streams);
   ws.centered.resize(n);
   for (std::size_t s = 0; s < num_streams; ++s) {
-    reader::remove_time_moving_average(
+    reference::remove_time_moving_average(
         std::span<const TimeUs>(out.timestamps),
         std::span<const double>(ws.raw[s]), movavg_window_us, ws.centered);
     out.streams[s].resize(n);
-    normalize_mad(ws.centered, out.streams[s]);
+    reference::normalize_mad(ws.centered, out.streams[s]);
   }
 }
 
@@ -295,7 +312,10 @@ bool run_json_report(const std::string& path, bool quick) {
       [&] {
         const auto ct =
             condition_seed(trace, cfg.source, cfg.movavg_window_us);
-        benchmark::DoNotOptimize(dec.decode_conditioned(ct));
+        reader::DecodeWorkspace fresh_ws;
+        reader::UplinkDecodeResult fresh_result;
+        dec.decode_conditioned_into(ct, fresh_ws, fresh_result);
+        benchmark::DoNotOptimize(fresh_result.found);
       },
       packets, iters));
   add("conditioning_seed", measure(
@@ -314,13 +334,15 @@ bool run_json_report(const std::string& path, bool quick) {
       },
       packets, iters));
 
-  // Steady-state workspace path: one workspace + result, reused.
+  // Steady-state workspace path: one workspace + result vector, reused,
+  // decoding the trace as a batch of one.
   reader::DecodeWorkspace ws;
-  reader::UplinkDecodeResult result;
+  std::vector<reader::UplinkDecodeResult> results;
   const Sample full_ws = add("full_decode_workspace", measure(
       [&] {
-        dec.decode_into(trace, ws, result);
-        benchmark::DoNotOptimize(result.found);
+        dec.decode_batch_into(std::span<const wifi::CaptureTrace>(&trace, 1),
+                              ws, results);
+        benchmark::DoNotOptimize(results.front().found);
       },
       packets, iters));
   reader::DecodeWorkspace cond_ws;

@@ -16,7 +16,9 @@
 // and overhead_pct <= 5.
 #include <chrono>
 #include <cstdio>
+#include <span>
 #include <string>
+#include <vector>
 
 #include <benchmark/benchmark.h>
 
@@ -133,16 +135,18 @@ int run(const std::string& path, bool quick) {
   // A threshold no window of this trace reaches: every decode drops with
   // low_snr and logs one flight-recorder event.
   const reader::UplinkDecoder dec_drop(decoder_config(0.99));
+  // A batch of one through one workspace: the single-trace decode path.
+  const std::span<const wifi::CaptureTrace> batch(&trace, 1);
   reader::DecodeWorkspace ws;
-  reader::UplinkDecodeResult result;
+  std::vector<reader::UplinkDecodeResult> results;
 
   const auto decode_ok = [&] {
-    dec_ok.decode_into(trace, ws, result);
-    benchmark::DoNotOptimize(result.found);
+    dec_ok.decode_batch_into(batch, ws, results);
+    benchmark::DoNotOptimize(results.front().found);
   };
   const auto decode_drop = [&] {
-    dec_drop.decode_into(trace, ws, result);
-    benchmark::DoNotOptimize(result.found);
+    dec_drop.decode_batch_into(batch, ws, results);
+    benchmark::DoNotOptimize(results.front().found);
   };
 
   const Sample off = add("decode_off", measure(decode_ok, packets, iters));

@@ -139,12 +139,17 @@ int main() {
     scfg.decoder.payload_bits = payload.size();
     scfg.decoder.bit_duration_us = bit_us;
     reader::StreamingUplinkDecoder dec(scfg);
-    std::vector<reader::UplinkDecodeResult> frames;
-    for (const auto& rec : trace) {
-      for (auto& f : dec.push(rec)) frames.push_back(std::move(f));
-    }
-    const std::size_t live = frames.size();
-    for (auto& f : dec.flush()) frames.push_back(std::move(f));
+    // Frames arrive through a FrameSink; this one keeps a copy of each.
+    struct Collect final : reader::FrameSink {
+      std::vector<reader::UplinkDecodeResult> frames;
+      void on_frame(const reader::UplinkDecodeResult& f) override {
+        frames.push_back(f);
+      }
+    } sink;
+    for (const auto& rec : trace) dec.push(rec, sink);
+    const std::size_t live = sink.frames.size();
+    dec.flush(sink);
+    const auto& frames = sink.frames;
     const std::size_t errors =
         frames.empty() ? payload.size()
                        : hamming_distance(payload, frames.front().payload);

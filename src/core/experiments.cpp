@@ -1,6 +1,7 @@
 #include "core/experiments.h"
 
 #include <algorithm>
+#include <span>
 
 #include "core/downlink_sim.h"
 #include "core/frame.h"
@@ -99,7 +100,7 @@ SimOutput simulate_one_frame(const UplinkExperimentParams& p,
 /// Decoder configuration for the plain uplink experiments. Run-invariant
 /// (the frame start is the fixed query lead time), so callers hoist the
 /// decoder — and with it a workspace and result buffers — out of the run
-/// loop and decode every trace through decode_into (DESIGN.md §15).
+/// loop and decode every trace as a batch of one (DESIGN.md §15).
 reader::UplinkDecoderConfig experiment_decoder_config(
     const UplinkExperimentParams& p) {
   const TimeUs bit_us = p.bit_duration_us();
@@ -126,10 +127,11 @@ BerMeasurement measure_uplink_ber(const UplinkExperimentParams& p) {
   BerMeasurement m;
   const reader::UplinkDecoder decoder(experiment_decoder_config(p));
   reader::DecodeWorkspace ws;
-  reader::UplinkDecodeResult result;
+  std::vector<reader::UplinkDecodeResult> results;
   for (std::size_t run = 0; run < p.runs; ++run) {
     const auto out = simulate_one_frame(p, run);
-    decoder.decode_into(out.trace, ws, result);
+    decoder.decode_batch_into(std::span(&out.trace, 1), ws, results);
+    const auto& result = results.front();
     if (!result.found) {
       ++m.failed_syncs;
       ber.add_counts(out.sent.size(), out.sent.size());
@@ -193,8 +195,10 @@ BerMeasurement measure_uplink_ber_random_stream(
     dec.hysteresis_sigma = q.hysteresis_sigma;
     dec.search_from = frame_start - 2 * bit_us;
     dec.search_to = frame_start + 2 * bit_us;
-    reader::UplinkDecoder decoder(dec);
-    const auto result = decoder.decode_conditioned(single);
+    const reader::UplinkDecoder decoder(dec);
+    reader::DecodeWorkspace ws;
+    reader::UplinkDecodeResult result;
+    decoder.decode_conditioned_into(single, ws, result);
     if (!result.found) {
       ++m.failed_syncs;
       ber.add_counts(payload.size(), payload.size());
@@ -211,6 +215,8 @@ BerMeasurement measure_uplink_ber_random_stream(
 
 std::vector<double> measure_per_stream_ber(const UplinkExperimentParams& p) {
   std::vector<BerCounter> counters(wifi::kNumCsiStreams);
+  reader::DecodeWorkspace ws;
+  reader::UplinkDecodeResult result;
   for (std::size_t run = 0; run < p.runs; ++run) {
     const TimeUs bit_us = p.bit_duration_us();
     const std::uint64_t seed =
@@ -254,8 +260,8 @@ std::vector<double> measure_per_stream_ber(const UplinkExperimentParams& p) {
       // per-sub-channel BER maps are computed offline per placement).
       dec.search_from = frame_start;
       dec.search_to = frame_start;
-      reader::UplinkDecoder decoder(dec);
-      const auto result = decoder.decode_conditioned(single);
+      const reader::UplinkDecoder decoder(dec);
+      decoder.decode_conditioned_into(single, ws, result);
       if (!result.found) {
         counters[s].add_counts(payload.size(), payload.size());
       } else {
@@ -274,10 +280,11 @@ double measure_packet_delivery(const UplinkExperimentParams& p) {
   std::size_t delivered = 0;
   const reader::UplinkDecoder decoder(experiment_decoder_config(p));
   reader::DecodeWorkspace ws;
-  reader::UplinkDecodeResult result;
+  std::vector<reader::UplinkDecodeResult> results;
   for (std::size_t run = 0; run < p.runs; ++run) {
     const auto out = simulate_one_frame(p, run);
-    decoder.decode_into(out.trace, ws, result);
+    decoder.decode_batch_into(std::span(&out.trace, 1), ws, results);
+    const auto& result = results.front();
     if (result.found && hamming_distance(out.sent, result.payload) == 0) {
       ++delivered;
     }
@@ -321,7 +328,7 @@ BerMeasurement measure_coded_uplink_ber(const CodedExperimentParams& p) {
   dec.known_start = frame_start;  // query-synchronised experiment (§10)
   const reader::CodedUplinkDecoder decoder(dec);
   reader::DecodeWorkspace ws;
-  reader::CodedDecodeResult result;
+  std::vector<reader::CodedDecodeResult> results;
 
   for (std::size_t run = 0; run < p.runs; ++run) {
     const std::uint64_t seed =
@@ -352,7 +359,8 @@ BerMeasurement measure_coded_uplink_ber(const CodedExperimentParams& p) {
     UplinkSim sim(sim_cfg);
     const auto trace = sim.run(timeline, mod);
 
-    decoder.decode_into(trace, ws, result);
+    decoder.decode_batch_into(std::span(&trace, 1), ws, results);
+    const auto& result = results.front();
     if (!result.found) {
       ber.add_counts(payload.size(), payload.size());
       ++m.failed_syncs;

@@ -101,6 +101,8 @@ InventoryResult run_inventory(std::span<const InventoryTag> tags,
         reader::condition(trace, reader::MeasurementSource::kCsi);
 
     // Decode each slot.
+    reader::DecodeWorkspace ws;
+    reader::UplinkDecodeResult res;
     for (std::size_t slot = 0; slot < slots; ++slot) {
       std::vector<std::size_t> repliers;
       for (std::size_t i = 0; i < tags.size(); ++i) {
@@ -117,8 +119,8 @@ InventoryResult run_inventory(std::span<const InventoryTag> tags,
           kLeadUs + slot_us * static_cast<std::int64_t>(slot);
       dec.search_from = slot_start - bit_us;
       dec.search_to = slot_start + bit_us;
-      reader::UplinkDecoder decoder(dec);
-      const auto res = decoder.decode_conditioned(ct);
+      const reader::UplinkDecoder decoder(dec);
+      decoder.decode_conditioned_into(ct, ws, res);
 
       bool decoded_someone = false;
       if (res.found) {

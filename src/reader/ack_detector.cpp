@@ -1,10 +1,11 @@
 #include "reader/ack_detector.h"
 
 #include <algorithm>
-#include <cmath>
+#include <vector>
 
 #include "obs/flight_recorder.h"
-#include "reader/uplink_decoder.h"
+#include "reader/decode_workspace.h"
+#include "reader/frame_sync.h"
 #include "util/check.h"
 
 namespace wb::reader {
@@ -30,30 +31,28 @@ AckDetection detect_ack(const ConditionedTrace& ct, const AckConfig& cfg,
     return out;
   }
 
-  const std::size_t nchips = cfg.pattern.size();
-  const TimeUs step =
-      std::max(cfg.chip_duration_us / 4, TimeUs{1});
-
+  // The shared sync stage with G = 1: the score of a window is the best
+  // single stream's |correlation|. The ACK's fill gate is an integer rule
+  // — at least nchips / 2 chips (rounded down) must hold a packet.
   bool any_scored = false;
-  for (TimeUs tau = expected_start_us - cfg.jitter_us;
-       tau <= expected_start_us + cfg.jitter_us; tau += step) {
-    for (std::size_t s = 0; s < ct.num_streams(); ++s) {
-      const auto slots = UplinkDecoder::bin_slots(
-          ct, s, tau, cfg.chip_duration_us, nchips);
-      double corr = 0.0;
-      std::size_t filled = 0;
-      for (std::size_t c = 0; c < nchips; ++c) {
-        if (slots[c].count == 0) continue;
-        ++filled;
-        corr += slots[c].mean * (cfg.pattern[c] ? 1.0 : -1.0);
-      }
-      if (filled < nchips / 2 || filled == 0) continue;
-      any_scored = true;
-      const double score = std::abs(corr) / static_cast<double>(filled);
-      if (score > out.score) {
-        out.score = score;
-        out.at_us = tau;
-      }
+  if (ct.num_streams() > 0) {
+    std::vector<double> bipolar(cfg.pattern.size());
+    for (std::size_t c = 0; c < bipolar.size(); ++c) {
+      bipolar[c] = cfg.pattern[c] ? 1.0 : -1.0;
+    }
+    const frame_sync::Template tmpl{
+        bipolar, cfg.chip_duration_us,
+        std::max<std::size_t>(cfg.pattern.size() / 2, 1)};
+    DecodeWorkspace ws;
+    const frame_sync::Best best = frame_sync::search(
+        ct, tmpl,
+        {expected_start_us - cfg.jitter_us, expected_start_us + cfg.jitter_us,
+         cfg.chip_duration_us / 4},
+        1, ws);
+    any_scored = best.any_filled;
+    if (best.score > 0.0) {
+      out.score = best.score;
+      out.at_us = best.start;
     }
   }
   out.detected = out.score >= cfg.threshold;

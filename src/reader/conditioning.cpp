@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <functional>
+#include <span>
 
 #include "obs/forensics.h"
 #include "obs/metrics.h"
@@ -10,89 +12,50 @@
 #include "util/check.h"
 
 #include "reader/decode_workspace.h"
-#include "util/dsp.h"
 #include "util/simd.h"
 
 namespace wb::reader {
 
-void remove_time_moving_average(std::span<const TimeUs> ts,
-                                std::span<const double> xs, TimeUs window_us,
-                                std::span<double> out) {
-  WB_REQUIRE(ts.size() == xs.size(),
-             "one measurement per timestamp is required");
-  WB_REQUIRE(out.size() == xs.size(), "output must cover every sample");
-  WB_REQUIRE(!detail::spans_overlap(xs.data(), xs.size(), out.data(),
-                                    out.size()),
-             "out must not alias xs: the sliding window re-reads samples "
-             "behind the cursor");
-  WB_REQUIRE(window_us > TimeUs{},
-             "moving-average window must be positive");
-  WB_REQUIRE(std::is_sorted(ts.begin(), ts.end()),
-             "capture timestamps must be non-decreasing");
-  // Centered window. The paper's receiver subtracts a trailing 400 ms
-  // average online; decoding offline we can center the same window, which
-  // removes identical drift but avoids the trailing window's
-  // data-dependent baseline creep (a trailing average over a frame edge
-  // contains a varying mix of modulated and quiescent samples, which can
-  // flip the apparent sign of bits after locally imbalanced runs).
-  const TimeUs half = window_us / 2;
-  std::size_t head = 0;  // first index inside [t_k - half, t_k + half]
-  std::size_t tail = 0;  // one past the last index inside
-  double sum = 0.0;
-  for (std::size_t k = 0; k < xs.size(); ++k) {
-    while (tail < xs.size() && ts[tail] <= ts[k] + half) {
-      sum += xs[tail];
-      ++tail;
-    }
-    while (ts[head] < ts[k] - half) {
-      sum -= xs[head];
-      ++head;
-    }
-    const double mean = sum / static_cast<double>(tail - head);
-    out[k] = xs[k] - mean;
-  }
-}
-
-std::vector<double> remove_time_moving_average(
-    const std::vector<TimeUs>& ts, const std::vector<double>& xs,
-    TimeUs window_us) {
-  std::vector<double> out(xs.size());
-  remove_time_moving_average(std::span<const TimeUs>(ts),
-                             std::span<const double>(xs), window_us, out);
-  return out;
-}
-
 namespace {
 
-// Shared body of the remove_time_moving_average_rows variants. When `mad`
-// is non-null it accumulates |out| per column alongside the centering
-// sweep (the fused-MAD overload); the accumulation reads each output
-// value the instant it is produced, in the same row order wb::mad_rows
-// would read the finished matrix, so the sums are bit-identical.
+/// True when the double ranges [a, a+an) and [b, b+bn) share any element.
+/// Uses std::less for a total pointer order, so the aliasing contracts
+/// below can be checked across unrelated allocations.
+bool spans_overlap(const double* a, std::size_t an, const double* b,
+                   std::size_t bn) {
+  if (an == 0 || bn == 0) return false;
+  const std::less<const double*> lt;
+  return lt(a, b + bn) && lt(b, a + an);
+}
+
+// Stream-batched moving-average removal with the MAD divisor pass fused
+// into the output sweep (DESIGN.md §15). `rows` is a row-major
+// [packet][lane] matrix — ts.size() rows of `stride` lanes, `stride` a
+// multiple of simd::kLanes — and every lane column is centered exactly as
+// the per-column scalar kernel centers one series: the
+// [t_k - w/2, t_k + w/2] window cursors are shared across columns (the
+// timestamps are shared), the per-column window sums live in
+// `sum_scratch` (size `stride`) and advance in the same
+// add-tail-then-retire-head order. Each centered value is added to |out|
+// per column the instant it is written, in row order, so `mad_out` (size
+// `stride`) gets the scalar normalize_mad divisors: the mean absolute
+// value per column, 1.0 for degenerate (mad <= 0) columns. Bit-identical
+// per column to the scalar kernels.
+//
+// The window is centered, not the paper's trailing 400 ms: decoding
+// offline, a centered window removes the same drift without the trailing
+// window's baseline creep over frame edges (a trailing average there mixes
+// modulated and quiescent samples and can flip the apparent sign of bits
+// after locally imbalanced runs).
+//
+// movavg_rows_impl is the multiversioned loop; movavg_mad_rows checks
+// the contracts first, outside the clones (an exception thrown from a
+// target_clones body is not unwound reliably).
 WB_SIMD_MULTIVERSION
 void movavg_rows_impl(std::span<const TimeUs> ts, std::span<const double> rows,
                       std::size_t stride, TimeUs window_us,
                       std::span<double> sum_scratch,
                       std::span<double> out_rows, double* mad) {
-  WB_REQUIRE(stride > 0 && stride % simd::kLanes == 0,
-             "row stride must be a positive multiple of the pack width");
-  WB_REQUIRE(rows.size() == ts.size() * stride,
-             "rows must hold one stride-wide row per timestamp");
-  WB_REQUIRE(out_rows.size() == rows.size(),
-             "output must cover every sample");
-  WB_REQUIRE(sum_scratch.size() == stride,
-             "window-sum scratch needs one accumulator per lane column");
-  WB_REQUIRE(!detail::spans_overlap(rows.data(), rows.size(),
-                                    out_rows.data(), out_rows.size()),
-             "out_rows must not alias rows: the sliding window re-reads "
-             "samples behind the cursor");
-  WB_REQUIRE(!detail::spans_overlap(sum_scratch.data(), sum_scratch.size(),
-                                    out_rows.data(), out_rows.size()),
-             "window-sum scratch must not alias the output");
-  WB_REQUIRE(window_us > TimeUs{},
-             "moving-average window must be positive");
-  WB_REQUIRE(std::is_sorted(ts.begin(), ts.end()),
-             "capture timestamps must be non-decreasing");
   using P = simd::dpack;
   const TimeUs half = window_us / 2;
   const std::size_t n = ts.size();
@@ -100,8 +63,8 @@ void movavg_rows_impl(std::span<const TimeUs> ts, std::span<const double> rows,
   std::size_t tail = 0;  // one past the last row inside
   for (double& s : sum_scratch) s = 0.0;
   for (std::size_t k = 0; k < n; ++k) {
-    // Same cursor advance and per-column add/retire order as the span
-    // variant — the window bounds depend only on the shared timestamps,
+    // Same cursor advance and per-column add/retire order as the scalar
+    // kernel — the window bounds depend only on the shared timestamps,
     // which is what makes batching across columns free.
     while (tail < n && ts[tail] <= ts[k] + half) {
       const double* row = rows.data() + tail * stride;
@@ -122,57 +85,50 @@ void movavg_rows_impl(std::span<const TimeUs> ts, std::span<const double> rows,
     const P nwin = P::broadcast(static_cast<double>(tail - head));
     const double* x = rows.data() + k * stride;
     double* o = out_rows.data() + k * stride;
-    if (mad != nullptr) {
-      for (std::size_t g = 0; g < stride; g += simd::kLanes) {
-        const P out = P::load(x + g) - P::load(sum_scratch.data() + g) / nwin;
-        out.store(o + g);
-        (P::load(mad + g) + P::abs(out)).store(mad + g);
-      }
-    } else {
-      for (std::size_t g = 0; g < stride; g += simd::kLanes) {
-        (P::load(x + g) - P::load(sum_scratch.data() + g) / nwin)
-            .store(o + g);
-      }
+    for (std::size_t g = 0; g < stride; g += simd::kLanes) {
+      const P out = P::load(x + g) - P::load(sum_scratch.data() + g) / nwin;
+      out.store(o + g);
+      (P::load(mad + g) + P::abs(out)).store(mad + g);
     }
   }
 }
 
-}  // namespace
-
-void remove_time_moving_average_rows(std::span<const TimeUs> ts,
-                                     std::span<const double> rows,
-                                     std::size_t stride, TimeUs window_us,
-                                     std::span<double> sum_scratch,
-                                     std::span<double> out_rows) {
-  movavg_rows_impl(ts, rows, stride, window_us, sum_scratch, out_rows,
-                   nullptr);
-}
-
-void remove_time_moving_average_rows(std::span<const TimeUs> ts,
-                                     std::span<const double> rows,
-                                     std::size_t stride, TimeUs window_us,
-                                     std::span<double> sum_scratch,
-                                     std::span<double> out_rows,
-                                     std::span<double> mad_out) {
+void movavg_mad_rows(std::span<const TimeUs> ts, std::span<const double> rows,
+                     std::size_t stride, TimeUs window_us,
+                     std::span<double> sum_scratch, std::span<double> out_rows,
+                     std::span<double> mad_out) {
+  WB_REQUIRE(!ts.empty(), "the matrix needs at least one row");
+  WB_REQUIRE(stride > 0 && stride % simd::kLanes == 0,
+             "row stride must be a positive multiple of the pack width");
+  WB_REQUIRE(rows.size() == ts.size() * stride,
+             "rows must hold one stride-wide row per timestamp");
+  WB_REQUIRE(out_rows.size() == rows.size(),
+             "output must cover every sample");
+  WB_REQUIRE(sum_scratch.size() == stride,
+             "window-sum scratch needs one accumulator per lane column");
+  WB_REQUIRE(!spans_overlap(rows.data(), rows.size(),
+                             out_rows.data(), out_rows.size()),
+             "out_rows must not alias rows: the sliding window re-reads "
+             "samples behind the cursor");
+  WB_REQUIRE(!spans_overlap(sum_scratch.data(), sum_scratch.size(),
+                             out_rows.data(), out_rows.size()),
+             "window-sum scratch must not alias the output");
+  WB_REQUIRE(window_us > TimeUs{},
+             "moving-average window must be positive");
+  WB_REQUIRE(std::is_sorted(ts.begin(), ts.end()),
+             "capture timestamps must be non-decreasing");
   WB_REQUIRE(mad_out.size() == stride,
              "mad output needs one accumulator per lane column");
-  WB_REQUIRE(!detail::spans_overlap(mad_out.data(), mad_out.size(),
-                                    out_rows.data(), out_rows.size()),
+  WB_REQUIRE(!spans_overlap(mad_out.data(), mad_out.size(),
+                             out_rows.data(), out_rows.size()),
              "mad output must not alias the output rows");
-  WB_REQUIRE(!detail::spans_overlap(mad_out.data(), mad_out.size(),
-                                    sum_scratch.data(), sum_scratch.size()),
+  WB_REQUIRE(!spans_overlap(mad_out.data(), mad_out.size(),
+                             sum_scratch.data(), sum_scratch.size()),
              "mad output must not alias the window sums");
   for (double& m : mad_out) m = 0.0;
   movavg_rows_impl(ts, rows, stride, window_us, sum_scratch, out_rows,
                    mad_out.data());
-  if (ts.empty()) {
-    // No rows: every column is degenerate, same safe divisors mad_rows
-    // produces on an empty matrix.
-    for (double& m : mad_out) m = 1.0;
-    return;
-  }
-  // Same divisor fixup as mad_rows: degenerate columns (mad <= 0) divide
-  // by 1.0, an exact copy.
+  // Degenerate columns (mad <= 0) divide by 1.0, an exact copy.
   const double n = static_cast<double>(ts.size());
   for (double& m : mad_out) {
     const double mad = m / n;
@@ -180,13 +136,12 @@ void remove_time_moving_average_rows(std::span<const TimeUs> ts,
   }
 }
 
-namespace {
-
 // Transpose the conditioned [packet][lane] rows back to the
 // [stream][packet] vectors the decoders consume, dividing each column by
-// its MAD on the way out — normalize_mad_rows' divide pass fused into the
-// transpose, one matrix pass instead of two. Each element still sees the
-// same single IEEE divide by the same mad_rows divisor, so the output is
+// its MAD on the way out — the normalize divide fused into the transpose,
+// one matrix pass instead of two. Each element still sees the same single
+// IEEE divide by the same divisor as the scalar normalize_mad, so the
+// output is
 // bit-identical to normalize-then-copy. Reads are contiguous pack loads
 // (stride is padded past num_streams, so the last group may cover inert
 // padding columns); writes fan each lane out to its stream vector.
@@ -291,11 +246,11 @@ void condition_into(const wifi::CaptureTrace& trace, MeasurementSource source,
     out.streams[s].resize(n);
   }
   if (n > 0) {
-    // Fused pipeline, bit-identical to remove_time_moving_average_rows +
-    // normalize_mad_rows + a plain transpose: the MAD divisors accumulate
-    // inside the centering sweep (conditioning.h) and the divide rides the
-    // transpose, so the matrix crosses memory twice instead of four times.
-    remove_time_moving_average_rows(
+    // Fused pipeline, bit-identical to per-stream moving-average removal +
+    // normalize_mad: the MAD divisors accumulate inside the centering
+    // sweep and the divide rides the transpose, so the matrix crosses
+    // memory twice instead of four times.
+    movavg_mad_rows(
         std::span<const TimeUs>(out.timestamps),
         std::span<const double>(ws.raw_rows), stride, movavg_window_us,
         ws.row_sums, ws.centered_rows, ws.row_mads);

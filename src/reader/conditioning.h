@@ -12,7 +12,6 @@
 // decoder treats every stream identically after this stage.
 #pragma once
 
-#include <span>
 #include <vector>
 
 #include "util/check.h"
@@ -53,46 +52,5 @@ WB_REALTIME void condition_into(const wifi::CaptureTrace& trace,
                                 MeasurementSource source,
                                 TimeUs movavg_window_us, DecodeWorkspace& ws,
                                 ConditionedTrace& out);
-
-/// The moving-average-removal stage alone (exposed for tests and the
-/// ablation bench): y_k = x_k - mean{x_j : t_j in (t_k - window, t_k]}.
-std::vector<double> remove_time_moving_average(
-    const std::vector<TimeUs>& ts, const std::vector<double>& xs,
-    TimeUs window_us);
-
-/// Span-out variant of remove_time_moving_average: `out.size()` must equal
-/// `xs.size()`; `out` must not alias `xs` (the sliding window re-reads
-/// samples behind the cursor). Bit-identical to the allocating wrapper.
-void remove_time_moving_average(std::span<const TimeUs> ts,
-                                std::span<const double> xs, TimeUs window_us,
-                                std::span<double> out);
-
-/// Stream-batched variant (DESIGN.md §15): `rows` is a row-major
-/// [packet][lane] matrix — ts.size() rows of `stride` lanes, `stride` a
-/// multiple of simd::kLanes — and every lane column is centered exactly as
-/// the span variant centers one series: the [t_k - w/2, t_k + w/2] window
-/// cursors are shared across columns (the timestamps are shared), the
-/// per-column window sums live in `sum_scratch` (size `stride`) and
-/// advance in the same add-tail-then-retire-head order. `out_rows` must
-/// not alias `rows` (window re-reads). Bit-identical per column to the
-/// span variant.
-void remove_time_moving_average_rows(std::span<const TimeUs> ts,
-                                     std::span<const double> rows,
-                                     std::size_t stride, TimeUs window_us,
-                                     std::span<double> sum_scratch,
-                                     std::span<double> out_rows);
-
-/// As above, plus wb::mad_rows' divisor pass fused into the output sweep:
-/// each centered row accumulates |out| per column as it is written (the
-/// same row order mad_rows reads in), and `mad_out` (size `stride`) gets
-/// the same fixed-up divisors mad_rows(out_rows, ...) would produce —
-/// bit-identical to calling the two kernels in sequence, one matrix read
-/// cheaper. `mad_out` must not alias the output or the window sums.
-void remove_time_moving_average_rows(std::span<const TimeUs> ts,
-                                     std::span<const double> rows,
-                                     std::size_t stride, TimeUs window_us,
-                                     std::span<double> sum_scratch,
-                                     std::span<double> out_rows,
-                                     std::span<double> mad_out);
 
 }  // namespace wb::reader

@@ -11,7 +11,7 @@
 #include "wifi/trace_io.h"
 
 #include "reader/decode_workspace.h"
-#include "reader/uplink_decoder.h"
+#include "reader/frame_sync.h"
 #include "util/simd.h"
 
 namespace wb::reader {
@@ -46,6 +46,8 @@ CodedUplinkDecoder::CodedUplinkDecoder(CodedDecoderConfig cfg)
       preamble_chips_bipolar_.push_back(c ? 1.0 : -1.0);
     }
   }
+  sync_min_filled_ = frame_sync::min_filled_for(
+      cfg_.min_fill, preamble_chips_bipolar_.size());
   code_diff_bipolar_.reserve(cfg_.chips_per_bit());
   for (std::size_t c = 0; c < cfg_.chips_per_bit(); ++c) {
     code_diff_bipolar_.push_back((cfg_.codes.one[c] ? 1.0 : -1.0) -
@@ -53,59 +55,12 @@ CodedUplinkDecoder::CodedUplinkDecoder(CodedDecoderConfig cfg)
   }
 }
 
-double CodedUplinkDecoder::preamble_correlation(const ConditionedTrace& ct,
-                                                std::size_t stream,
-                                                TimeUs start_us,
-                                                DecodeWorkspace& ws) const {
-  WB_REQUIRE(stream < ct.num_streams());
-  const std::size_t nchips = preamble_chips_bipolar_.size();
-  UplinkDecoder::bin_slots_into(ct, stream, start_us, cfg_.chip_duration_us,
-                                nchips, ws.slots);
-  std::size_t filled = 0;
-  double corr = 0.0;
-  for (std::size_t i = 0; i < nchips; ++i) {
-    if (ws.slots[i].count == 0) continue;
-    ++filled;
-    corr += ws.slots[i].mean * preamble_chips_bipolar_[i];
-  }
-  if (static_cast<double>(filled) <
-          cfg_.min_fill * static_cast<double>(nchips) ||
-      filled == 0) {
-    return 0.0;
-  }
-  return corr / static_cast<double>(filled);
-}
-
-double CodedUplinkDecoder::preamble_correlation(const ConditionedTrace& ct,
-                                                std::size_t stream,
-                                                TimeUs start_us) const {
-  DecodeWorkspace ws;
-  return preamble_correlation(ct, stream, start_us, ws);
-}
-
 CodedDecodeResult CodedUplinkDecoder::decode(
     const wifi::CaptureTrace& trace) const {
   DecodeWorkspace ws;
-  CodedDecodeResult out;
-  decode_into(trace, ws, out);
-  return out;
-}
-
-void CodedUplinkDecoder::decode_into(const wifi::CaptureTrace& trace,
-                                     DecodeWorkspace& ws,
-                                     CodedDecodeResult& out) const {
-  condition_into(trace, cfg_.source, cfg_.movavg_window_us, ws,
-                 ws.conditioned);
-  decode_conditioned_into(ws.conditioned, ws, out);
-  // Raw-trace overload: failed attempts leave a replayable exemplar.
-  if (out.drop_reason) {
-    auto* fx = obs::forensics();
-    if (fx != nullptr &&
-        fx->wants_exemplar(obs::DropStage::kCorrDecoder, *out.drop_reason)) {
-      fx->add_exemplar(obs::DropStage::kCorrDecoder, *out.drop_reason,  // wb-analyze: allow(realtime-alloc): exemplar serialization is wants_exemplar-gated to the first exemplar_cap drops per (stage, reason) — cold by construction
-                       wifi::capture_csv_string(trace));
-    }
-  }
+  std::vector<CodedDecodeResult> out;
+  decode_batch_into(std::span<const wifi::CaptureTrace>(&trace, 1), ws, out);
+  return std::move(out.front());
 }
 
 void CodedUplinkDecoder::decode_batch_into(
@@ -113,16 +68,19 @@ void CodedUplinkDecoder::decode_batch_into(
     std::vector<CodedDecodeResult>& out) const {
   out.resize(traces.size());
   for (std::size_t i = 0; i < traces.size(); ++i) {
-    decode_into(traces[i], ws, out[i]);
+    condition_into(traces[i], cfg_.source, cfg_.movavg_window_us, ws,
+                   ws.conditioned);
+    decode_conditioned_into(ws.conditioned, ws, out[i]);
+    if (out[i].drop_reason) {
+      auto* fx = obs::forensics();
+      if (fx != nullptr &&
+          fx->wants_exemplar(obs::DropStage::kCorrDecoder,
+                             *out[i].drop_reason)) {
+        fx->add_exemplar(obs::DropStage::kCorrDecoder, *out[i].drop_reason,  // wb-analyze: allow(realtime-alloc): exemplar serialization is wants_exemplar-gated to the first exemplar_cap drops per (stage, reason) — cold by construction
+                         wifi::capture_csv_string(traces[i]));
+      }
+    }
   }
-}
-
-CodedDecodeResult CodedUplinkDecoder::decode_conditioned(
-    const ConditionedTrace& ct) const {
-  DecodeWorkspace ws;
-  CodedDecodeResult out;
-  decode_conditioned_into(ct, ws, out);
-  return out;
 }
 
 void CodedUplinkDecoder::decode_conditioned_into(const ConditionedTrace& ct_in,
@@ -206,76 +164,25 @@ void CodedUplinkDecoder::decode_conditioned_into(const ConditionedTrace& ct_in,
     ct = &ws.clipped;
   }
 
-  const std::size_t g = std::min(cfg_.num_good_streams, ct->num_streams());
-
-  // --- Frame sync ---
-  TimeUs best_start{0};
-  double best_score = -1.0;
-  auto& corrs = ws.corrs;
-  auto& order = ws.order;
-  corrs.resize(ct->num_streams());
-  order.resize(ct->num_streams());
-
-  // One shared slot map per candidate start, per-stream contiguous sum
-  // passes after it — bit-identical to preamble_correlation per stream
-  // (same accumulation order, same sum/count division, shared fill gate).
-  const std::size_t nchips = preamble_chips_bipolar_.size();
-  auto evaluate = [&](TimeUs tau) {
-    UplinkDecoder::bin_window_into(*ct, tau, cfg_.chip_duration_us, nchips,
-                                   ws);
-    const double need = cfg_.min_fill * static_cast<double>(nchips);
-    const bool enough =
-        static_cast<double>(ws.bin_filled) >= need && ws.bin_filled > 0;
-    for (std::size_t s = 0; s < ct->num_streams(); ++s) {
-      if (!enough) {
-        corrs[s] = 0.0;
-        continue;
-      }
-      UplinkDecoder::bin_stream_sums_into(*ct, s, ws);
-      double corr = 0.0;
-      for (std::size_t i = 0; i < nchips; ++i) {
-        if (ws.bin_count[i] == 0) continue;
-        corr += (ws.bin_sums[i] / static_cast<double>(ws.bin_count[i])) *
-                preamble_chips_bipolar_[i];
-      }
-      corrs[s] = corr / static_cast<double>(ws.bin_filled);
-    }
-    for (std::size_t s = 0; s < order.size(); ++s) order[s] = s;
-    std::partial_sort(order.begin(), order.begin() + static_cast<long>(g),
-                      order.end(), [&corrs](std::size_t a, std::size_t b) {
-                        return std::abs(corrs[a]) > std::abs(corrs[b]);
-                      });
-    double score = 0.0;
-    for (std::size_t i = 0; i < g; ++i) score += std::abs(corrs[order[i]]);
-    return score / static_cast<double>(g);
-  };
-
+  // --- Frame sync (frame_sync.h), coded preamble in chip slots ---
+  const frame_sync::Template tmpl{preamble_chips_bipolar_,
+                                  cfg_.chip_duration_us, sync_min_filled_};
+  frame_sync::Grid grid;
   if (cfg_.known_start) {
-    best_start = *cfg_.known_start;
-    best_score = evaluate(best_start);
+    grid = {*cfg_.known_start, *cfg_.known_start, TimeUs{1}};
   } else {
     const TimeUs t0 = ct->timestamps.front();
     const TimeUs t1 = ct->timestamps.back();
-    const TimeUs from = cfg_.search_from.value_or(t0);
-    const TimeUs to =
-        std::max(from, cfg_.search_to.value_or(t1 - cfg_.frame_duration_us()));
-    const TimeUs step = cfg_.sync_step_us > TimeUs{}
-                            ? cfg_.sync_step_us
-                            : cfg_.chip_duration_us / 2;
-    for (TimeUs tau = from; tau <= to; tau += std::max(step, TimeUs{1})) {
-      const double score = evaluate(tau);
-      // First-max-wins: the strict `>` keeps the *earliest* tau among
-      // equal peaks. Pinned by tests — see the uplink decoder's sync loop.
-      if (score > best_score) {
-        best_score = score;
-        best_start = tau;
-      }
-    }
-    // Re-evaluate at the winner so corrs/order describe it.
-    best_score = evaluate(best_start);
+    grid.from = cfg_.search_from.value_or(t0);
+    grid.to = std::max(grid.from,
+                       cfg_.search_to.value_or(t1 - cfg_.frame_duration_us()));
+    grid.step = cfg_.sync_step_us > TimeUs{} ? cfg_.sync_step_us
+                                             : cfg_.chip_duration_us / 2;
   }
+  const std::size_t g = std::min(cfg_.num_good_streams, ct->num_streams());
+  const frame_sync::Best best = frame_sync::search(*ct, tmpl, grid, g, ws);
 
-  out.found = best_score > 0.0;
+  out.found = best.score > 0.0;
   if (!out.found) {
     // A correlator that clamped a substantial share of its input was
     // fighting interference, not silence: blame the clipping, otherwise
@@ -285,13 +192,13 @@ void CodedUplinkDecoder::decode_conditioned_into(const ConditionedTrace& ct_in,
              : obs::DropReason::kNoPreamble);
     return;
   }
-  out.start_us = best_start;
-  out.sync_score = best_score;
-  out.streams.assign(order.begin(), order.begin() + static_cast<long>(g));
+  out.start_us = best.start;
+  out.sync_score = best.score;
+  out.streams.assign(ws.best_streams.begin(), ws.best_streams.end());
   out.polarity.resize(g);
   out.weights.resize(g);
   for (std::size_t i = 0; i < g; ++i) {
-    const double c = corrs[out.streams[i]];
+    const double c = ws.best_corrs[i];
     out.polarity[i] = c >= 0.0 ? 1.0 : -1.0;
     out.weights[i] = std::abs(c);
   }
@@ -301,18 +208,16 @@ void CodedUplinkDecoder::decode_conditioned_into(const ConditionedTrace& ct_in,
   out.payload.assign(cfg_.payload_bits, 0);
   out.margin.assign(cfg_.payload_bits, 0.0);
   // One shared slot map per chip block, reused by every selected stream
-  // (the map depends only on the timestamps) — bit-identical to the
-  // per-(bit, stream) bin_slots_into it replaces.
+  // (the map depends only on the timestamps).
   for (std::size_t b = 0; b < cfg_.payload_bits; ++b) {
     const TimeUs block_start =
-        best_start +
+        best.start +
         cfg_.chip_duration_us *
             static_cast<std::int64_t>((cfg_.preamble.size() + b) * l);
-    UplinkDecoder::bin_window_into(*ct, block_start, cfg_.chip_duration_us,
-                                   l, ws);
+    frame_sync::bin_window(*ct, block_start, cfg_.chip_duration_us, l, ws);
     double combined = 0.0;
     for (std::size_t i = 0; i < out.streams.size(); ++i) {
-      UplinkDecoder::bin_stream_sums_into(*ct, out.streams[i], ws);
+      frame_sync::bin_stream_sums(*ct, out.streams[i], ws);
       double diff = 0.0;  // corr(one) - corr(zero)
       for (std::size_t c = 0; c < l; ++c) {
         if (ws.bin_count[c] == 0) continue;

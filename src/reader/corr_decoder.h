@@ -7,10 +7,12 @@
 // L-times-longer bit. The tag-side cost is zero — it still just toggles a
 // switch (Modulator's coded mode).
 //
-// The decoder correlates each stream's chip-slot means against the two
-// codes, "picks the Wi-Fi sub-channels that provide the maximum
-// correlation peaks", and outputs the bit whose code correlates stronger,
-// combining the selected streams weighted by their preamble correlation.
+// Frame sync runs the shared stage (frame_sync.h) with the coded preamble
+// in chip slots, which "picks the Wi-Fi sub-channels that provide the
+// maximum correlation peaks". The decoder then correlates each selected
+// stream's chip-slot means against the two codes and outputs the bit whose
+// code correlates stronger, combining the streams weighted by their
+// preamble correlation.
 #pragma once
 
 #include <optional>
@@ -96,42 +98,32 @@ class CodedUplinkDecoder {
  public:
   explicit CodedUplinkDecoder(CodedDecoderConfig cfg);
 
+  /// Allocating convenience wrapper: a fresh workspace and result per call.
   CodedDecodeResult decode(const wifi::CaptureTrace& trace) const;
-  CodedDecodeResult decode_conditioned(const ConditionedTrace& ct) const;
 
-  // ---- allocation-free variants (DESIGN.md §10) ----
-  // Bit-identical to the allocating calls; the winsorised trace copy and
-  // the slot-binning scratch live in `ws`, results reuse `out`'s vectors.
+  // ---- allocation-free entries (DESIGN.md §10) ----
+  // The winsorised trace copy and the slot-binning scratch live in `ws`,
+  // results reuse `out`'s vectors.
 
-  WB_REALTIME void decode_into(const wifi::CaptureTrace& trace,
-                               DecodeWorkspace& ws,
-                               CodedDecodeResult& out) const;
-  WB_REALTIME void decode_conditioned_into(const ConditionedTrace& ct,
-                                           DecodeWorkspace& ws,
-                                           CodedDecodeResult& out) const;
-
-  /// Batch decode (DESIGN.md §15): every trace through one workspace;
-  /// `out` is resized to traces.size() and its entries reused, so a
-  /// warmed-up batch is allocation-free. Bit-identical to calling
-  /// decode_into per trace.
+  /// Batch decode (DESIGN.md §15): condition and decode every trace
+  /// through one workspace; `out` is resized to traces.size() and its
+  /// entries reused, so a warmed-up batch is allocation-free. A single
+  /// trace is a batch of one; failed attempts leave a replayable exemplar.
   WB_REALTIME void decode_batch_into(std::span<const wifi::CaptureTrace> traces,
                                      DecodeWorkspace& ws,
                                      std::vector<CodedDecodeResult>& out) const;
 
-  /// Per-chip-normalised correlation of a stream against the *coded
-  /// preamble* at a candidate start (signed; 0 when under-filled).
-  double preamble_correlation(const ConditionedTrace& ct, std::size_t stream,
-                              TimeUs start_us) const;
-
-  /// Workspace variant (slot binning scratch in `ws.slots`).
-  double preamble_correlation(const ConditionedTrace& ct, std::size_t stream,
-                              TimeUs start_us, DecodeWorkspace& ws) const;
+  /// Pipeline from an already-conditioned trace.
+  WB_REALTIME void decode_conditioned_into(const ConditionedTrace& ct,
+                                           DecodeWorkspace& ws,
+                                           CodedDecodeResult& out) const;
 
   const CodedDecoderConfig& config() const { return cfg_; }
 
  private:
   CodedDecoderConfig cfg_;
   std::vector<double> preamble_chips_bipolar_;  ///< coded preamble template
+  std::size_t sync_min_filled_ = 1;             ///< sync fill gate, in chips
   std::vector<double> code_diff_bipolar_;       ///< bip(one)-bip(zero), L
 };
 

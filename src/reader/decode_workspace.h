@@ -28,13 +28,6 @@
 
 namespace wb::reader {
 
-/// Mean/count of the packets binned into one bit or chip slot (shared by
-/// the plain and coded decoders; see UplinkDecoder::bin_slots).
-struct SlotStat {
-  double mean = 0.0;
-  std::size_t count = 0;
-};
-
 struct DecodeWorkspace {
   // -- conditioning (condition_into, DESIGN.md §15) --
   // Row-major [packet][lane] matrices: one row per usable record, one lane
@@ -45,11 +38,10 @@ struct DecodeWorkspace {
   std::vector<double> row_sums;       ///< per-lane window-sum scratch
   std::vector<double> row_mads;       ///< per-lane MAD divisors
 
-  // -- frame sync (find_frame / preamble correlation) --
-  std::vector<SlotStat> slots;           ///< bin_slots_into scratch
-  std::vector<double> corrs;             ///< per-stream preamble correlation
+  // -- frame sync (frame_sync.h) --
+  std::vector<double> corrs;             ///< per-stream template correlation
 
-  // Stream-batched slot binning (UplinkDecoder::bin_window_into): the
+  // Stream-batched slot binning (frame_sync::bin_window): the
   // timestamp→slot map and per-slot packet counts are shared by every
   // stream of a window, so they are computed once per candidate start.
   std::vector<std::uint32_t> bin_slot_of;  ///< slot of each window packet
@@ -60,7 +52,7 @@ struct DecodeWorkspace {
   std::size_t bin_filled = 0;  ///< slots with at least one packet
   std::vector<std::size_t> order;        ///< stream ranking scratch
   std::vector<std::size_t> best_streams; ///< selected streams of the best tau
-  std::vector<double> best_polarity;     ///< their correlation signs
+  std::vector<double> best_corrs;        ///< their signed correlations
 
   // -- MRC + thresholding (decode_conditioned_into) --
   std::vector<double> y;    ///< combined signal over the frame interval
@@ -71,7 +63,7 @@ struct DecodeWorkspace {
   std::vector<int> slot_n;
 
   // -- whole-trace buffers reused across decodes --
-  ConditionedTrace conditioned;  ///< decode(trace, ws) conditioning output
+  ConditionedTrace conditioned;  ///< decode_batch_into conditioning output
   ConditionedTrace clipped;      ///< coded decoder's winsorised copy
 };
 

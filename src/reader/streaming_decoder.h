@@ -40,9 +40,9 @@ struct StreamingDecoderConfig {
   TimeUs history_us{1'000'000};
 };
 
-/// Receiver of decoded frames for the allocation-free delivery path.
-/// on_frame() observes the wrapper's reused scratch result: copy what you
-/// need before returning — the reference dies with the call.
+/// Receiver of decoded frames. on_frame() observes the wrapper's reused
+/// scratch result: copy what you need before returning — the reference
+/// dies with the call.
 class FrameSink {
  public:
   virtual void on_frame(const UplinkDecodeResult& frame) = 0;
@@ -55,16 +55,12 @@ class StreamingUplinkDecoder {
  public:
   explicit StreamingUplinkDecoder(StreamingDecoderConfig cfg);
 
-  /// Feed one capture record (timestamps must be non-decreasing); returns
-  /// the frames completed by this record (usually none, occasionally one).
-  /// Scans reuse one decoder instance and one DecodeWorkspace, so the
-  /// steady-state scan path does not allocate (DESIGN.md §10).
-  std::vector<UplinkDecodeResult> push(const wifi::CaptureRecord& rec);
-
-  /// Allocation-free variant: frames go to `sink.on_frame()` instead of a
-  /// returned vector; returns how many frames were emitted. This is the
-  /// serving-path API (wb::serve sessions implement FrameSink and copy
-  /// payloads into preallocated slots).
+  /// Feed one capture record (timestamps must be non-decreasing); frames
+  /// it completes (usually none, occasionally one) go to
+  /// `sink.on_frame()`. Returns how many frames were emitted. Scans reuse
+  /// one decoder instance and one DecodeWorkspace, so the steady-state
+  /// scan path does not allocate (DESIGN.md §10); wb::serve sessions
+  /// implement FrameSink and copy payloads into preallocated slots.
   WB_REALTIME std::size_t push(const wifi::CaptureRecord& rec,
                                FrameSink& sink);
 
@@ -72,10 +68,8 @@ class StreamingUplinkDecoder {
   /// scans when a *later* record arrives, so when traffic stops, any frame
   /// that ended within a scan interval of the last record would otherwise
   /// be stranded forever. Call when the capture ends (or goes quiet) to
-  /// drain those frames; idempotent — a second flush() emits nothing new.
-  std::vector<UplinkDecodeResult> flush();
-
-  /// Sink variant of flush(); returns how many frames were emitted.
+  /// drain those frames into `sink`; returns how many were emitted.
+  /// Idempotent — a second flush() emits nothing new.
   std::size_t flush(FrameSink& sink);
 
   /// Return to the freshly constructed state while keeping the buffer's
@@ -99,9 +93,6 @@ class StreamingUplinkDecoder {
   /// `sink` and advances consumed_until_ past the frame.
   bool scan(TimeUs search_to_us, FrameSink& sink);
 
-  std::size_t push_impl(const wifi::CaptureRecord& rec, FrameSink& sink);
-  std::size_t flush_impl(FrameSink& sink);
-
   /// Drop records no future frame needs (history window behind the
   /// consumed point).
   void trim_history();
@@ -109,7 +100,8 @@ class StreamingUplinkDecoder {
   StreamingDecoderConfig cfg_;
   UplinkDecoder dec_;          ///< reused across scans (search window slides)
   DecodeWorkspace ws_;         ///< reused across scans
-  UplinkDecodeResult scratch_; ///< reused scan result
+  /// Reused scan result: decode_batch_into over a batch of one buffer.
+  std::vector<UplinkDecodeResult> scratch_;
   wifi::CaptureTrace buffer_;
   TimeUs consumed_until_{0};  ///< frames may only start after this
   TimeUs next_scan_at_{0};

@@ -8,6 +8,7 @@
 #include "obs/metrics.h"
 #include "obs/scoped_timer.h"
 #include "obs/trace.h"
+#include "reader/frame_sync.h"
 #include "util/check.h"
 #include "wifi/trace_io.h"
 
@@ -37,109 +38,12 @@ UplinkDecoder::UplinkDecoder(UplinkDecoderConfig cfg) : cfg_(std::move(cfg)) {
              "search window must satisfy search_to >= search_from — an "
              "inverted window used to be silently collapsed to a single "
              "probe offset");
-}
-
-void UplinkDecoder::bin_slots_into(const ConditionedTrace& ct,
-                                   std::size_t stream, TimeUs start_us,
-                                   TimeUs slot_us, std::size_t nslots,
-                                   std::vector<SlotStat>& out) {
-  WB_REQUIRE(stream < ct.num_streams(), "stream index out of range");
-  WB_REQUIRE(slot_us > TimeUs{}, "slot duration must be positive");
-  WB_REQUIRE(ct.streams[stream].size() == ct.timestamps.size(),
-             "conditioned stream must cover every packet");
-  out.assign(nslots, SlotStat{});
-  const auto& ts = ct.timestamps;
-  const auto& xs = ct.streams[stream];
-  std::size_t k = lower_index(ts, start_us);
-  const TimeUs end =
-      start_us + slot_us * static_cast<std::int64_t>(nslots);
-  for (; k < ts.size() && ts[k] < end; ++k) {
-    const auto slot = static_cast<std::size_t>((ts[k] - start_us) / slot_us);
-    out[slot].mean += xs[k];
-    ++out[slot].count;
+  preamble_bipolar_.reserve(cfg_.preamble.size());
+  for (const std::uint8_t b : cfg_.preamble) {
+    preamble_bipolar_.push_back(b ? 1.0 : -1.0);
   }
-  for (auto& s : out) {
-    if (s.count > 0) s.mean /= static_cast<double>(s.count);
-  }
-}
-
-void UplinkDecoder::bin_window_into(const ConditionedTrace& ct,
-                                    TimeUs start_us, TimeUs slot_us,
-                                    std::size_t nslots, DecodeWorkspace& ws) {
-  WB_REQUIRE(slot_us > TimeUs{}, "slot duration must be positive");
-  const auto& ts = ct.timestamps;
-  std::size_t k = lower_index(ts, start_us);
-  ws.bin_first = k;
-  ws.bin_nslots = nslots;
-  ws.bin_count.assign(nslots, 0);
-  const TimeUs end = start_us + slot_us * static_cast<std::int64_t>(nslots);
-  const std::size_t k_end = lower_index(ts, end);
-  ws.bin_slot_of.resize(k_end - k);
-  for (std::size_t j = 0; k < k_end; ++k, ++j) {
-    const auto slot =
-        static_cast<std::uint32_t>((ts[k] - start_us) / slot_us);
-    ws.bin_slot_of[j] = slot;
-    ++ws.bin_count[slot];
-  }
-  ws.bin_filled = 0;
-  for (const std::uint32_t c : ws.bin_count) {
-    if (c > 0) ++ws.bin_filled;
-  }
-}
-
-void UplinkDecoder::bin_stream_sums_into(const ConditionedTrace& ct,
-                                         std::size_t stream,
-                                         DecodeWorkspace& ws) {
-  WB_REQUIRE(stream < ct.num_streams(), "stream index out of range");
-  WB_REQUIRE(ct.streams[stream].size() == ct.timestamps.size(),
-             "conditioned stream must cover every packet");
-  const auto& xs = ct.streams[stream];
-  ws.bin_sums.assign(ws.bin_nslots, 0.0);
-  const std::size_t k0 = ws.bin_first;
-  for (std::size_t j = 0; j < ws.bin_slot_of.size(); ++j) {
-    ws.bin_sums[ws.bin_slot_of[j]] += xs[k0 + j];
-  }
-}
-
-std::vector<UplinkDecoder::SlotStat> UplinkDecoder::bin_slots(
-    const ConditionedTrace& ct, std::size_t stream, TimeUs start_us,
-    TimeUs slot_us, std::size_t nslots) {
-  std::vector<SlotStat> out;
-  bin_slots_into(ct, stream, start_us, slot_us, nslots, out);
-  return out;
-}
-
-double UplinkDecoder::preamble_correlation(const ConditionedTrace& ct,
-                                           std::size_t stream,
-                                           TimeUs start_us,
-                                           DecodeWorkspace& ws) const {
-  bin_slots_into(ct, stream, start_us, cfg_.bit_duration_us,
-                 cfg_.preamble.size(), ws.slots);
-  std::size_t filled = 0;
-  double corr = 0.0;
-  for (std::size_t i = 0; i < ws.slots.size(); ++i) {
-    if (ws.slots[i].count == 0) continue;
-    ++filled;
-    corr += ws.slots[i].mean * (cfg_.preamble[i] ? 1.0 : -1.0);
-  }
-  const double need =
-      cfg_.min_preamble_fill * static_cast<double>(ws.slots.size());
-  if (static_cast<double>(filled) < need || filled == 0) return 0.0;
-  return corr / static_cast<double>(filled);
-}
-
-double UplinkDecoder::preamble_correlation(const ConditionedTrace& ct,
-                                           std::size_t stream,
-                                           TimeUs start_us) const {
-  DecodeWorkspace ws;
-  return preamble_correlation(ct, stream, start_us, ws);
-}
-
-bool UplinkDecoder::find_frame(const ConditionedTrace& ct,
-                               DecodeWorkspace& ws, TimeUs& start_us,
-                               double& score) const {
-  obs::DropReason failure{};
-  return find_frame(ct, ws, start_us, score, failure);
+  sync_min_filled_ = frame_sync::min_filled_for(cfg_.min_preamble_fill,
+                                                preamble_bipolar_.size());
 }
 
 bool UplinkDecoder::find_frame(const ConditionedTrace& ct,
@@ -165,90 +69,22 @@ bool UplinkDecoder::find_frame(const ConditionedTrace& ct,
       cfg_.sync_step_us > TimeUs{} ? cfg_.sync_step_us
                                    : cfg_.bit_duration_us / 4;
 
-  const std::size_t g =
-      std::min(cfg_.num_good_streams, ct.num_streams());
-  const std::size_t nslots = cfg_.preamble.size();
-
-  bool has_best = false;
-  TimeUs best_start{0};
-  double best_score = 0.0;
-  auto& corrs = ws.corrs;
-  auto& order = ws.order;
-  corrs.resize(ct.num_streams());
-  order.resize(ct.num_streams());
-  for (TimeUs tau = from; tau <= to; tau += std::max(step, TimeUs{1})) {
-    // One shared slot map per candidate start, then a contiguous
-    // sum-accumulation pass per stream: bit-identical to running
-    // preamble_correlation per stream (same accumulation order, same
-    // sum/count division, shared fill gate), minus the per-stream
-    // timestamp walks.
-    bin_window_into(ct, tau, cfg_.bit_duration_us, nslots, ws);
-    const double need =
-        cfg_.min_preamble_fill * static_cast<double>(nslots);
-    const bool enough = static_cast<double>(ws.bin_filled) >= need &&
-                        ws.bin_filled > 0;
-    for (std::size_t s = 0; s < ct.num_streams(); ++s) {
-      if (!enough) {
-        corrs[s] = 0.0;
-        continue;
-      }
-      bin_stream_sums_into(ct, s, ws);
-      double corr = 0.0;
-      for (std::size_t i = 0; i < nslots; ++i) {
-        if (ws.bin_count[i] == 0) continue;
-        corr += (ws.bin_sums[i] / static_cast<double>(ws.bin_count[i])) *
-                (cfg_.preamble[i] ? 1.0 : -1.0);
-      }
-      corrs[s] = corr / static_cast<double>(ws.bin_filled);
-    }
-    for (std::size_t s = 0; s < order.size(); ++s) order[s] = s;
-    std::partial_sort(order.begin(), order.begin() + static_cast<long>(g),
-                      order.end(), [&corrs](std::size_t a, std::size_t b) {
-                        return std::abs(corrs[a]) > std::abs(corrs[b]);
-                      });
-    double tau_score = 0.0;
-    for (std::size_t i = 0; i < g; ++i) tau_score += std::abs(corrs[order[i]]);
-    tau_score /= static_cast<double>(g);
-    // First-max-wins: the strict `>` keeps the *earliest* tau among equal
-    // peaks. Load-bearing and pinned by tests — a reassociated reduction
-    // or a `>=` here would silently shift which frame start wins.
-    if (!has_best || tau_score > best_score) {
-      has_best = true;
-      best_start = tau;
-      best_score = tau_score;
-      ws.best_streams.assign(order.begin(),
-                             order.begin() + static_cast<long>(g));
-      ws.best_polarity.resize(g);
-      for (std::size_t i = 0; i < g; ++i) {
-        ws.best_polarity[i] = corrs[order[i]] >= 0.0 ? 1.0 : -1.0;
-      }
-    }
-  }
-  if (!has_best || best_score <= cfg_.sync_threshold) {
+  const frame_sync::Template tmpl{preamble_bipolar_, cfg_.bit_duration_us,
+                                  sync_min_filled_};
+  const frame_sync::Best best = frame_sync::search(
+      ct, tmpl, {from, to, step},
+      std::min(cfg_.num_good_streams, ct.num_streams()), ws);
+  if (best.score <= cfg_.sync_threshold) {
     // A best score of exactly 0 means no candidate window ever met the
     // preamble-fill bar — the preamble was never seen. A positive score
     // at/below the threshold is a correlation too weak to trust.
-    failure = (!has_best || best_score <= 0.0) ? obs::DropReason::kNoPreamble
-                                               : obs::DropReason::kLowSnr;
+    failure = best.score <= 0.0 ? obs::DropReason::kNoPreamble
+                                : obs::DropReason::kLowSnr;
     return false;
   }
-  start_us = best_start;
-  score = best_score;
+  start_us = best.start;
+  score = best.score;
   return true;
-}
-
-std::optional<UplinkDecoder::SyncResult> UplinkDecoder::find_frame(
-    const ConditionedTrace& ct) const {
-  DecodeWorkspace ws;
-  TimeUs start{0};
-  double score = 0.0;
-  if (!find_frame(ct, ws, start, score)) return std::nullopt;
-  SyncResult r;
-  r.start = start;
-  r.score = score;
-  r.streams = std::move(ws.best_streams);
-  r.polarity = std::move(ws.best_polarity);
-  return r;
 }
 
 double UplinkDecoder::preamble_noise_variance(const ConditionedTrace& ct,
@@ -288,30 +124,9 @@ double UplinkDecoder::preamble_noise_variance(const ConditionedTrace& ct,
 UplinkDecodeResult UplinkDecoder::decode(
     const wifi::CaptureTrace& trace) const {
   DecodeWorkspace ws;
-  UplinkDecodeResult out;
-  decode_into(trace, ws, out);
-  return out;
-}
-
-void UplinkDecoder::decode_into(const wifi::CaptureTrace& trace,
-                                DecodeWorkspace& ws,
-                                UplinkDecodeResult& out) const {
-  condition_into(trace, cfg_.source, cfg_.movavg_window_us, ws,
-                 ws.conditioned);
-  decode_conditioned_into(ws.conditioned, ws, out);
-  // This overload still holds the raw capture, so it is the one place a
-  // failed attempt can leave a replayable exemplar behind. wants_exemplar
-  // gates the (allocating) serialization to the first few drops per
-  // reason.
-  if (out.drop_reason) {
-    auto* fx = obs::forensics();
-    if (fx != nullptr &&
-        fx->wants_exemplar(obs::DropStage::kUplinkDecoder,
-                           *out.drop_reason)) {
-      fx->add_exemplar(obs::DropStage::kUplinkDecoder, *out.drop_reason,  // wb-analyze: allow(realtime-alloc): exemplar serialization is wants_exemplar-gated to the first exemplar_cap drops per (stage, reason) — cold by construction
-                       wifi::capture_csv_string(trace));
-    }
-  }
+  std::vector<UplinkDecodeResult> out;
+  decode_batch_into(std::span<const wifi::CaptureTrace>(&trace, 1), ws, out);
+  return std::move(out.front());
 }
 
 void UplinkDecoder::decode_batch_into(
@@ -319,16 +134,21 @@ void UplinkDecoder::decode_batch_into(
     std::vector<UplinkDecodeResult>& out) const {
   out.resize(traces.size());
   for (std::size_t i = 0; i < traces.size(); ++i) {
-    decode_into(traces[i], ws, out[i]);
+    condition_into(traces[i], cfg_.source, cfg_.movavg_window_us, ws,
+                   ws.conditioned);
+    decode_conditioned_into(ws.conditioned, ws, out[i]);
+    // wants_exemplar gates the (allocating) serialization to the first
+    // few drops per reason.
+    if (out[i].drop_reason) {
+      auto* fx = obs::forensics();
+      if (fx != nullptr &&
+          fx->wants_exemplar(obs::DropStage::kUplinkDecoder,
+                             *out[i].drop_reason)) {
+        fx->add_exemplar(obs::DropStage::kUplinkDecoder, *out[i].drop_reason,  // wb-analyze: allow(realtime-alloc): exemplar serialization is wants_exemplar-gated to the first exemplar_cap drops per (stage, reason) — cold by construction
+                         wifi::capture_csv_string(traces[i]));
+      }
+    }
   }
-}
-
-UplinkDecodeResult UplinkDecoder::decode_conditioned(
-    const ConditionedTrace& ct) const {
-  DecodeWorkspace ws;
-  UplinkDecodeResult out;
-  decode_conditioned_into(ct, ws, out);
-  return out;
 }
 
 void UplinkDecoder::decode_conditioned_into(const ConditionedTrace& ct,
@@ -379,7 +199,10 @@ void UplinkDecoder::decode_conditioned_into(const ConditionedTrace& ct,
   out.start_us = start;
   out.sync_score = score;
   out.streams.assign(ws.best_streams.begin(), ws.best_streams.end());
-  out.polarity.assign(ws.best_polarity.begin(), ws.best_polarity.end());
+  out.polarity.resize(out.streams.size());
+  for (std::size_t i = 0; i < out.polarity.size(); ++i) {
+    out.polarity[i] = ws.best_corrs[i] >= 0.0 ? 1.0 : -1.0;
+  }
 
   if (m != nullptr) {
     m->counter("reader.uplink.sync_found_total").add(1);

@@ -4,11 +4,11 @@
 //
 // Pipeline:
 //   1. conditioning (see conditioning.h): drift removal + normalisation;
-//   2. frame sync + stream selection: slide the known tag preamble (a
-//      13-bit Barker code) across every stream, bin measurements into bit
-//      slots by packet timestamp, and find the start time where the
-//      summed top-G |correlation| peaks. Streams are ranked by
-//      |correlation| at the chosen start; the correlation *sign* gives
+//   2. frame sync + stream selection (frame_sync.h): slide the known tag
+//      preamble (a 13-bit Barker code) across every stream, bin
+//      measurements into bit slots by packet timestamp, and find the start
+//      time where the summed top-G |correlation| peaks. Streams are ranked
+//      by |correlation| at the chosen start; the correlation *sign* gives
 //      each stream's polarity (a reflection can raise or lower |H|
 //      depending on the multipath phase, so streams can be inverted);
 //   3. per-stream noise-variance estimation over the preamble slots;
@@ -111,36 +111,28 @@ class UplinkDecoder {
  public:
   explicit UplinkDecoder(UplinkDecoderConfig cfg);
 
-  /// Full pipeline from a raw capture trace.
+  /// Full pipeline from a raw capture trace (allocating convenience
+  /// wrapper: a fresh workspace and result per call).
   UplinkDecodeResult decode(const wifi::CaptureTrace& trace) const;
 
-  /// Pipeline from an already-conditioned trace (lets experiments reuse
-  /// conditioning across decoder variants).
-  UplinkDecodeResult decode_conditioned(const ConditionedTrace& ct) const;
+  // ---- allocation-free entries (DESIGN.md §10) ----
+  // Scratch lives in `ws` and results reuse `out`'s vectors, so a warm
+  // workspace + reused result make a decode allocation-free.
 
-  // ---- allocation-free variants (DESIGN.md §10) ----
-  // Same pipeline, bit-identical outputs; scratch lives in `ws` and the
-  // result reuses `out`'s vectors, so a warm workspace + reused result
-  // make a decode allocation-free.
-
-  /// Full pipeline; conditioning output is kept in `ws.conditioned`.
-  WB_REALTIME void decode_into(const wifi::CaptureTrace& trace,
-                               DecodeWorkspace& ws,
-                               UplinkDecodeResult& out) const;
-
-  /// Pipeline from an already-conditioned trace.
-  WB_REALTIME void decode_conditioned_into(const ConditionedTrace& ct,
-                                           DecodeWorkspace& ws,
-                                           UplinkDecodeResult& out) const;
-
-  /// Batch decode (DESIGN.md §15): run every trace through this decoder,
-  /// reusing one workspace across the whole span; `out` is resized to
-  /// traces.size() with each entry reused like the single-trace overload,
-  /// so a warmed-up batch is allocation-free. Bit-identical to calling
-  /// decode_into per trace.
+  /// Batch decode (DESIGN.md §15): condition and decode every trace
+  /// through one workspace; `out` is resized to traces.size() and each
+  /// entry reused. A single trace is a batch of one. A failed attempt
+  /// leaves a replayable exemplar with the forensics sink, since this is
+  /// the entry that still holds the raw capture.
   WB_REALTIME void decode_batch_into(std::span<const wifi::CaptureTrace> traces,
                                      DecodeWorkspace& ws,
                                      std::vector<UplinkDecodeResult>& out) const;
+
+  /// Pipeline from an already-conditioned trace (lets experiments reuse
+  /// conditioning across decoder variants).
+  WB_REALTIME void decode_conditioned_into(const ConditionedTrace& ct,
+                                           DecodeWorkspace& ws,
+                                           UplinkDecodeResult& out) const;
 
   /// Replace the frame-start search window (used by the streaming wrapper,
   /// which slides the window forward between scans on one decoder
@@ -154,65 +146,13 @@ class UplinkDecoder {
     cfg_.search_to = to_us;
   }
 
-  // ---- exposed internals (tested and reused by the ablation benches) ----
+  // ---- pipeline stages (tested and reused by the benches) ----
 
-  /// Mean of stream `s` within [start + i*T, start + (i+1)*T) for each of
-  /// `nslots` slots. count==0 slots report mean 0.
-  using SlotStat = reader::SlotStat;
-  static std::vector<SlotStat> bin_slots(const ConditionedTrace& ct,
-                                         std::size_t stream, TimeUs start_us,
-                                         TimeUs slot_us, std::size_t nslots);
-
-  /// bin_slots writing into a caller-owned buffer (resized to `nslots`,
-  /// capacity reused across calls).
-  static void bin_slots_into(const ConditionedTrace& ct, std::size_t stream,
-                             TimeUs start_us, TimeUs slot_us,
-                             std::size_t nslots, std::vector<SlotStat>& out);
-
-  // Stream-batched binning (DESIGN.md §15). The timestamp→slot map and the
-  // per-slot packet counts depend only on the shared timestamps, so
-  // bin_window_into computes them once per candidate window (into
-  // ws.bin_slot_of / ws.bin_count / ws.bin_first / ws.bin_nslots /
-  // ws.bin_filled); bin_stream_sums_into then accumulates one stream's
-  // per-slot sums (ws.bin_sums) with a single contiguous pass. Per slot,
-  // sum/count reproduces bin_slots_into's mean bit-for-bit (same packet
-  // accumulation order, same single division).
-
-  /// Prepare the shared slot map for [start, start + nslots*slot_us).
-  static void bin_window_into(const ConditionedTrace& ct, TimeUs start_us,
-                              TimeUs slot_us, std::size_t nslots,
-                              DecodeWorkspace& ws);
-
-  /// Per-slot sums of `stream` over the window prepared by the last
-  /// bin_window_into on `ws`.
-  static void bin_stream_sums_into(const ConditionedTrace& ct,
-                                   std::size_t stream, DecodeWorkspace& ws);
-
-  /// Signed per-bit-normalised preamble correlation of one stream at a
-  /// candidate frame start; 0 if too few preamble slots are filled.
-  double preamble_correlation(const ConditionedTrace& ct, std::size_t stream,
-                              TimeUs start_us) const;
-
-  /// Workspace variant (slot binning scratch in `ws.slots`).
-  double preamble_correlation(const ConditionedTrace& ct, std::size_t stream,
-                              TimeUs start_us, DecodeWorkspace& ws) const;
-
-  struct SyncResult {
-    TimeUs start{0};
-    double score = 0.0;
-    std::vector<std::size_t> streams;  ///< ranked by |corr|, size <= G
-    std::vector<double> polarity;      ///< sign of corr per stream
-  };
-  /// Search the configured window for the frame start.
-  std::optional<SyncResult> find_frame(const ConditionedTrace& ct) const;
-
-  /// Workspace variant: returns true when a frame start cleared the sync
-  /// threshold, leaving start/score in the out-params and the selected
-  /// streams/polarities in `ws.best_streams` / `ws.best_polarity`.
-  bool find_frame(const ConditionedTrace& ct, DecodeWorkspace& ws,
-                  TimeUs& start_us, double& score) const;
-
-  /// Diagnosing variant: on failure, `failure` names the drop reason —
+  /// Frame sync over the configured window (frame_sync.h, with the
+  /// preamble in bit slots). Returns true when the best start cleared the
+  /// sync threshold, leaving start/score in the out-params and the
+  /// selected streams and their signed correlations in `ws.best_streams`
+  /// / `ws.best_corrs`. On failure `failure` names the drop reason —
   /// kEmptyTrace (no packets/streams reached sync), kNoPreamble (no
   /// candidate window ever correlated), or kLowSnr (best correlation
   /// positive but at/below the sync threshold).
@@ -230,6 +170,8 @@ class UplinkDecoder {
 
  private:
   UplinkDecoderConfig cfg_;
+  std::vector<double> preamble_bipolar_;  ///< sync template, +-1 per bit
+  std::size_t sync_min_filled_ = 1;       ///< sync fill gate, in bits
 };
 
 /// Convenience: a decoder configured per §3.3 for RSSI (3 streams, best

@@ -244,11 +244,7 @@ void CaptureService::retire_forensics(std::uint32_t id,
 }
 
 std::uint64_t CaptureService::frames_total() const noexcept {
-  std::uint64_t frames = 0;
-  std::vector<Session*> live(sessions_.max_sessions(), nullptr);
-  const std::size_t n = sessions_.snapshot_attached(live.data(), live.size());
-  for (std::size_t i = 0; i < n; ++i) frames += live[i]->frames_total();
-  return frames;
+  return sessions_.frames_total();
 }
 
 std::vector<std::pair<std::string, std::string>> CaptureService::properties()

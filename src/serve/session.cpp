@@ -202,6 +202,16 @@ std::size_t SessionManager::active_count() const noexcept {
   return n;
 }
 
+std::uint64_t SessionManager::frames_total() const noexcept {
+  std::uint64_t frames = 0;
+  for (const auto& slot : slots_) {
+    if (slot->state() != SessionState::kDetached) {
+      frames += slot->frames_total();
+    }
+  }
+  return frames;
+}
+
 std::size_t SessionManager::snapshot_attached(Session** out,
                                               std::size_t cap) const {
   WB_REQUIRE(cap >= slots_.size(),

@@ -184,6 +184,9 @@ class SessionManager {
   /// Currently attached sessions.
   std::size_t active_count() const noexcept;
 
+  /// Frames emitted across the currently attached sessions.
+  std::uint64_t frames_total() const noexcept;
+
   /// Writes pointers to all attached sessions into out[0..cap) in
   /// ascending id order; returns how many were written. cap must be >=
   /// max_sessions(). Allocation-free (insertion sort over <= cap slots).

@@ -133,13 +133,24 @@ TEST(FailureInjection, DownlinkRejectsMassiveCorruption) {
 
 TEST(FailureInjection, ConditioningSurvivesIdenticalTimestamps) {
   // Several packets sharing one timestamp (bursted delivery reports).
-  std::vector<TimeUs> ts = {TimeUs{100}, TimeUs{100}, TimeUs{100},
-                            TimeUs{200}, TimeUs{200}, TimeUs{300}};
-  std::vector<double> xs = {1.0, 2.0, 3.0, 4.0, 5.0, 6.0};
-  const auto y = reader::remove_time_moving_average(ts, xs, TimeUs{1'000});
-  EXPECT_EQ(y.size(), xs.size());
-  for (double v : y) {
-    EXPECT_TRUE(std::isfinite(v));
+  const std::vector<std::int64_t> ts = {100, 100, 100, 200, 200, 300};
+  wifi::CaptureTrace trace;
+  for (std::size_t i = 0; i < ts.size(); ++i) {
+    wifi::CaptureRecord r;
+    r.timestamp_us = TimeUs{ts[i]};
+    r.has_csi = true;
+    for (auto& ant : r.csi) ant.fill(1.0 + static_cast<double>(i));
+    r.rssi_dbm.fill(-40.0 + static_cast<double>(i));
+    trace.push_back(r);
+  }
+  for (const auto source :
+       {reader::MeasurementSource::kCsi, reader::MeasurementSource::kRssi}) {
+    const auto ct = reader::condition(trace, source, TimeUs{1'000});
+    EXPECT_EQ(ct.num_packets(), ts.size());
+    for (const auto& stream : ct.streams) {
+      ASSERT_EQ(stream.size(), ts.size());
+      for (double v : stream) EXPECT_TRUE(std::isfinite(v));
+    }
   }
 }
 

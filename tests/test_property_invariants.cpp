@@ -118,8 +118,10 @@ TEST_P(SeededProperty, DecoderOutputLengthAlwaysPayloadBits) {
   cfg.payload_bits = 7 + seed % 20;
   cfg.bit_duration_us = TimeUs{4'000};
   cfg.num_good_streams = 3;
-  reader::UplinkDecoder dec(cfg);
-  const auto res = dec.decode_conditioned(ct);
+  const reader::UplinkDecoder dec(cfg);
+  reader::DecodeWorkspace ws;
+  reader::UplinkDecodeResult res;
+  dec.decode_conditioned_into(ct, ws, res);
   if (res.found) {
     EXPECT_EQ(res.payload.size(), cfg.payload_bits);
     EXPECT_EQ(res.confidence.size(), cfg.payload_bits);

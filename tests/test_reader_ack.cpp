@@ -106,5 +106,34 @@ TEST(AckDetector, EmptyTraceNotDetected) {
   EXPECT_FALSE(detect_ack(ConditionedTrace{}, cfg, TimeUs{}).detected);
 }
 
+TEST(AckDetector, HalfFilledOddPatternIsScored) {
+  // The ACK fill gate is an integer rule: a window is scored when at
+  // least nchips / 2 (rounded down) chips hold a packet. With 5 chips,
+  // exactly 2 filled chips must be scored — a fractional 0.5 * nchips
+  // gate (2.5) would reject this window.
+  AckConfig cfg;
+  cfg.pattern = bits_from_string("10110");
+  cfg.chip_duration_us = TimeUs{10'000};
+  cfg.jitter_us = TimeUs{0};
+  cfg.threshold = 0.9;
+  ConditionedTrace ct;
+  // One packet in chip 0 (+1) and one in chip 1 (-1); chips 2-4 empty.
+  ct.timestamps = {TimeUs{1'000}, TimeUs{11'000}};
+  ct.streams = {{1.0, -1.0}};
+  const auto det = detect_ack(ct, cfg, TimeUs{0});
+  EXPECT_TRUE(det.detected);
+  EXPECT_EQ(det.score, 1.0);
+  EXPECT_EQ(det.at_us, TimeUs{0});
+
+  // One filled chip (< 5 / 2) is below the gate: never scored.
+  ct.timestamps = {TimeUs{1'000}};
+  ct.streams = {{1.0}};
+  const auto under = detect_ack(ct, cfg, TimeUs{0});
+  EXPECT_FALSE(under.detected);
+  EXPECT_EQ(under.score, 0.0);
+  ASSERT_TRUE(under.drop_reason.has_value());
+  EXPECT_EQ(*under.drop_reason, obs::DropReason::kNoPreamble);
+}
+
 }  // namespace
 }  // namespace wb::reader

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "reader/decode_workspace.h"
 #include "sim/rng.h"
 #include "util/check.h"
 
@@ -70,6 +71,14 @@ CodedSynthetic make_coded(const CodedSpec& spec) {
   return out;
 }
 
+CodedDecodeResult decode_ct(const CodedUplinkDecoder& dec,
+                            const ConditionedTrace& ct) {
+  DecodeWorkspace ws;
+  CodedDecodeResult out;
+  dec.decode_conditioned_into(ct, ws, out);
+  return out;
+}
+
 CodedDecoderConfig config_for(const CodedSpec& spec) {
   CodedDecoderConfig cfg;
   cfg.codes = make_orthogonal_pair(spec.code_length);
@@ -85,7 +94,7 @@ TEST(CodedDecoder, DecodesCleanFrameWithKnownStart) {
   const auto syn = make_coded(spec);
   cfg.known_start = syn.frame_start;
   CodedUplinkDecoder dec(cfg);
-  const auto res = dec.decode_conditioned(syn.ct);
+  const auto res = decode_ct(dec, syn.ct);
   ASSERT_TRUE(res.found);
   EXPECT_EQ(res.payload, syn.payload);
 }
@@ -95,7 +104,7 @@ TEST(CodedDecoder, SyncSearchFindsFrame) {
   spec.noise = 0.3;
   const auto syn = make_coded(spec);
   CodedUplinkDecoder dec(config_for(spec));
-  const auto res = dec.decode_conditioned(syn.ct);
+  const auto res = decode_ct(dec, syn.ct);
   ASSERT_TRUE(res.found);
   EXPECT_NEAR(static_cast<double>(res.start_us.ticks()),
               static_cast<double>(syn.frame_start.ticks()),
@@ -107,8 +116,15 @@ TEST(CodedDecoder, PreambleCorrelationPositiveAtStart) {
   CodedSpec spec;
   spec.noise = 0.1;
   const auto syn = make_coded(spec);
-  CodedUplinkDecoder dec(config_for(spec));
-  EXPECT_GT(dec.preamble_correlation(syn.ct, 0, syn.frame_start), 0.5);
+  // Sync pinned at the true start with G = 1: the score is the best
+  // stream's coded-preamble correlation, and its sign the polarity.
+  auto cfg = config_for(spec);
+  cfg.known_start = syn.frame_start;
+  cfg.num_good_streams = 1;
+  const auto res = decode_ct(CodedUplinkDecoder(cfg), syn.ct);
+  ASSERT_TRUE(res.found);
+  EXPECT_GT(res.sync_score, 0.5);
+  EXPECT_EQ(res.polarity[0], 1.0);
 }
 
 TEST(CodedDecoder, LongerCodesSurviveMoreNoise) {
@@ -124,7 +140,7 @@ TEST(CodedDecoder, LongerCodesSurviveMoreNoise) {
     const auto syn = make_coded(spec);
     cfg.known_start = syn.frame_start;
     CodedUplinkDecoder dec(cfg);
-    const auto res = dec.decode_conditioned(syn.ct);
+    const auto res = decode_ct(dec, syn.ct);
     if (!res.found) return spec.payload_bits;
     return hamming_distance(res.payload, syn.payload);
   };
@@ -147,7 +163,7 @@ TEST(CodedDecoder, MarginGrowsWithGain) {
     const auto syn = make_coded(spec);
     cfg.known_start = syn.frame_start;
     CodedUplinkDecoder dec(cfg);
-    const auto res = dec.decode_conditioned(syn.ct);
+    const auto res = decode_ct(dec, syn.ct);
     double m = 0.0;
     for (double x : res.margin) m += x;
     return m;
@@ -165,7 +181,7 @@ TEST(CodedDecoder, SelectsGoodStreams) {
   const auto syn = make_coded(spec);
   cfg.known_start = syn.frame_start;
   CodedUplinkDecoder dec(cfg);
-  const auto res = dec.decode_conditioned(syn.ct);
+  const auto res = decode_ct(dec, syn.ct);
   ASSERT_TRUE(res.found);
   for (std::size_t s : res.streams) {
     EXPECT_LT(s, 4u);
@@ -175,7 +191,7 @@ TEST(CodedDecoder, SelectsGoodStreams) {
 TEST(CodedDecoder, EmptyTraceNotFound) {
   CodedSpec spec;
   CodedUplinkDecoder dec(config_for(spec));
-  EXPECT_FALSE(dec.decode_conditioned(ConditionedTrace{}).found);
+  EXPECT_FALSE(decode_ct(dec, ConditionedTrace{}).found);
 }
 
 TEST(CodedDecoder, FrameGeometryHelpers) {
@@ -200,7 +216,7 @@ TEST_P(CodedLengthSweep, RoundtripAtModerateNoise) {
   const auto syn = make_coded(spec);
   cfg.known_start = syn.frame_start;
   CodedUplinkDecoder dec(cfg);
-  const auto res = dec.decode_conditioned(syn.ct);
+  const auto res = decode_ct(dec, syn.ct);
   ASSERT_TRUE(res.found);
   EXPECT_EQ(res.payload, syn.payload) << "L=" << GetParam();
 }
@@ -265,7 +281,7 @@ TEST(CodedDecoder, SyncTieBreakKeepsEarliestFrameStart) {
   cfg.num_good_streams = 1;
   ASSERT_FALSE(cfg.known_start.has_value());  // exercise the sync search
   const CodedUplinkDecoder dec(cfg);
-  const auto res = dec.decode_conditioned(ct);
+  const auto res = decode_ct(dec, ct);
   ASSERT_TRUE(res.found);
   EXPECT_EQ(res.start_us, first);
   EXPECT_EQ(res.payload, payload);

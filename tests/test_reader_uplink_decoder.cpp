@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "reader/frame_sync.h"
+
 #include "sim/rng.h"
 #include "util/check.h"
 #include "util/codes.h"
@@ -76,13 +78,74 @@ UplinkDecoderConfig config_for(const SyntheticSpec& spec) {
   return cfg;
 }
 
+UplinkDecodeResult decode_ct(const UplinkDecoder& dec,
+                             const ConditionedTrace& ct) {
+  DecodeWorkspace ws;
+  UplinkDecodeResult out;
+  dec.decode_conditioned_into(ct, ws, out);
+  return out;
+}
+
+/// Signed preamble correlation of `stream` at `start`: the frame-sync
+/// stage's per-stream score with the decoder's template and fill gate.
+double preamble_correlation(const UplinkDecoderConfig& cfg,
+                            const ConditionedTrace& ct, std::size_t stream,
+                            TimeUs start) {
+  std::vector<double> bipolar;
+  for (const std::uint8_t b : cfg.preamble) bipolar.push_back(b ? 1.0 : -1.0);
+  const frame_sync::Template tmpl{
+      bipolar, cfg.bit_duration_us,
+      frame_sync::min_filled_for(cfg.min_preamble_fill, bipolar.size())};
+  DecodeWorkspace ws;
+  frame_sync::score(ct, tmpl, start, 1, ws);
+  return ws.corrs[stream];
+}
+
+/// Slot means and counts of one stream over [start, start + n*slot), read
+/// off the frame-sync stage's shared slot map and per-stream sums.
+struct SlotStat {
+  double mean = 0.0;
+  std::uint32_t count = 0;
+};
+std::vector<SlotStat> bin_slots(const ConditionedTrace& ct,
+                                std::size_t stream, TimeUs start,
+                                TimeUs slot, std::size_t n) {
+  DecodeWorkspace ws;
+  frame_sync::bin_window(ct, start, slot, n, ws);
+  frame_sync::bin_stream_sums(ct, stream, ws);
+  std::vector<SlotStat> out(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    out[i].count = ws.bin_count[i];
+    if (out[i].count > 0) {
+      out[i].mean = ws.bin_sums[i] / static_cast<double>(out[i].count);
+    }
+  }
+  return out;
+}
+
+struct Sync {
+  TimeUs start{0};
+  std::vector<std::size_t> streams;
+};
+std::optional<Sync> find_frame(const UplinkDecoder& dec,
+                               const ConditionedTrace& ct) {
+  DecodeWorkspace ws;
+  Sync sync;
+  double score = 0.0;
+  obs::DropReason failure{};
+  if (!dec.find_frame(ct, ws, sync.start, score, failure)) {
+    return std::nullopt;
+  }
+  sync.streams = ws.best_streams;
+  return sync;
+}
+
 TEST(BinSlots, MeansAndCounts) {
   ConditionedTrace ct;
   ct.timestamps = {TimeUs{0},     TimeUs{100},   TimeUs{200},
                    TimeUs{1'000}, TimeUs{1'100}, TimeUs{2'500}};
   ct.streams = {{1.0, 2.0, 3.0, 10.0, 20.0, 7.0}};
-  const auto slots =
-      UplinkDecoder::bin_slots(ct, 0, TimeUs{0}, TimeUs{1'000}, 3);
+  const auto slots = bin_slots(ct, 0, TimeUs{0}, TimeUs{1'000}, 3);
   ASSERT_EQ(slots.size(), 3u);
   EXPECT_EQ(slots[0].count, 3u);
   EXPECT_DOUBLE_EQ(slots[0].mean, 2.0);
@@ -96,8 +159,7 @@ TEST(BinSlots, IgnoresPacketsOutsideRange) {
   ConditionedTrace ct;
   ct.timestamps = {TimeUs{-500}, TimeUs{0}, TimeUs{500}, TimeUs{5'000}};
   ct.streams = {{100.0, 1.0, 2.0, 100.0}};
-  const auto slots =
-      UplinkDecoder::bin_slots(ct, 0, TimeUs{0}, TimeUs{1'000}, 1);
+  const auto slots = bin_slots(ct, 0, TimeUs{0}, TimeUs{1'000}, 1);
   EXPECT_EQ(slots[0].count, 2u);
   EXPECT_DOUBLE_EQ(slots[0].mean, 1.5);
 }
@@ -106,11 +168,10 @@ TEST(UplinkDecoder, PreambleCorrelationPeaksAtTrueStart) {
   SyntheticSpec spec;
   spec.noise = 0.05;
   const auto syn = make_synthetic(spec);
-  UplinkDecoder dec(config_for(spec));
-  const double at_true =
-      dec.preamble_correlation(syn.ct, 0, syn.frame_start);
-  const double off =
-      dec.preamble_correlation(syn.ct, 0, syn.frame_start + 4 * spec.bit_us);
+  const auto cfg = config_for(spec);
+  const double at_true = preamble_correlation(cfg, syn.ct, 0, syn.frame_start);
+  const double off = preamble_correlation(cfg, syn.ct, 0,
+                                          syn.frame_start + 4 * spec.bit_us);
   EXPECT_GT(at_true, 0.8);
   EXPECT_GT(at_true, std::abs(off) + 0.3);
 }
@@ -120,25 +181,24 @@ TEST(UplinkDecoder, CorrelationSignReflectsPolarity) {
   spec.noise = 0.05;
   spec.alternate_polarity = true;
   const auto syn = make_synthetic(spec);
-  UplinkDecoder dec(config_for(spec));
-  EXPECT_GT(dec.preamble_correlation(syn.ct, 0, syn.frame_start), 0.5);
-  EXPECT_LT(dec.preamble_correlation(syn.ct, 1, syn.frame_start), -0.5);
+  const auto cfg = config_for(spec);
+  EXPECT_GT(preamble_correlation(cfg, syn.ct, 0, syn.frame_start), 0.5);
+  EXPECT_LT(preamble_correlation(cfg, syn.ct, 1, syn.frame_start), -0.5);
 }
 
 TEST(UplinkDecoder, CorrelationZeroWhenUnderFilled) {
   SyntheticSpec spec;
   spec.packet_interval_us = 20'000;  // one packet per 4 bits
   const auto syn = make_synthetic(spec);
-  UplinkDecoder dec(config_for(spec));
-  EXPECT_DOUBLE_EQ(dec.preamble_correlation(syn.ct, 0, syn.frame_start),
-                   0.0);
+  EXPECT_DOUBLE_EQ(
+      preamble_correlation(config_for(spec), syn.ct, 0, syn.frame_start), 0.0);
 }
 
 TEST(UplinkDecoder, FindsFrameStart) {
   SyntheticSpec spec;
   const auto syn = make_synthetic(spec);
   UplinkDecoder dec(config_for(spec));
-  const auto sync = dec.find_frame(syn.ct);
+  const auto sync = find_frame(dec, syn.ct);
   ASSERT_TRUE(sync.has_value());
   EXPECT_NEAR(static_cast<double>(sync->start.ticks()),
               static_cast<double>(syn.frame_start.ticks()),
@@ -153,7 +213,7 @@ TEST(UplinkDecoder, SelectsGoodStreams) {
   UplinkDecoderConfig cfg = config_for(spec);
   cfg.num_good_streams = 5;
   UplinkDecoder dec(cfg);
-  const auto sync = dec.find_frame(syn.ct);
+  const auto sync = find_frame(dec, syn.ct);
   ASSERT_TRUE(sync.has_value());
   // All 5 selected streams should be among the 5 that carry signal.
   for (std::size_t s : sync->streams) {
@@ -179,7 +239,7 @@ TEST(UplinkDecoder, DecodesCleanFrame) {
   spec.noise = 0.2;
   const auto syn = make_synthetic(spec);
   UplinkDecoder dec(config_for(spec));
-  const auto res = dec.decode_conditioned(syn.ct);
+  const auto res = decode_ct(dec, syn.ct);
   ASSERT_TRUE(res.found);
   EXPECT_EQ(res.payload, syn.payload);
   EXPECT_EQ(res.payload.size(), spec.payload_bits);
@@ -191,7 +251,7 @@ TEST(UplinkDecoder, DecodesWithInvertedStreams) {
   spec.alternate_polarity = true;
   const auto syn = make_synthetic(spec);
   UplinkDecoder dec(config_for(spec));
-  const auto res = dec.decode_conditioned(syn.ct);
+  const auto res = decode_ct(dec, syn.ct);
   ASSERT_TRUE(res.found);
   EXPECT_EQ(res.payload, syn.payload);
   // Recorded polarities must differ across the selected streams.
@@ -213,7 +273,7 @@ TEST(UplinkDecoder, DecodesAtModerateNoiseViaCombining) {
   UplinkDecoderConfig cfg = config_for(spec);
   cfg.num_good_streams = 8;
   UplinkDecoder dec(cfg);
-  const auto res = dec.decode_conditioned(syn.ct);
+  const auto res = decode_ct(dec, syn.ct);
   ASSERT_TRUE(res.found);
   EXPECT_LE(hamming_distance(res.payload, syn.payload), 1u);
 }
@@ -232,7 +292,7 @@ TEST(UplinkDecoder, WeightsFavourCleanStreams) {
   UplinkDecoderConfig cfg = config_for(spec);
   cfg.num_good_streams = 2;
   UplinkDecoder dec(cfg);
-  const auto res = dec.decode_conditioned(syn.ct);
+  const auto res = decode_ct(dec, syn.ct);
   ASSERT_TRUE(res.found);
   ASSERT_EQ(res.streams.size(), 2u);
   const std::size_t clean_pos = res.streams[0] == 0 ? 0 : 1;
@@ -242,7 +302,7 @@ TEST(UplinkDecoder, WeightsFavourCleanStreams) {
 TEST(UplinkDecoder, EmptyTraceNotFound) {
   SyntheticSpec spec;
   UplinkDecoder dec(config_for(spec));
-  const auto res = dec.decode_conditioned(ConditionedTrace{});
+  const auto res = decode_ct(dec, ConditionedTrace{});
   EXPECT_FALSE(res.found);
 }
 
@@ -254,7 +314,7 @@ TEST(UplinkDecoder, SyncThresholdRejectsPureNoise) {
   cfg.num_good_streams = 4;
   cfg.sync_threshold = 0.5;  // require a real preamble
   UplinkDecoder dec(cfg);
-  EXPECT_FALSE(dec.decode_conditioned(syn.ct).found);
+  EXPECT_FALSE(decode_ct(dec, syn.ct).found);
 }
 
 TEST(UplinkDecoder, SearchWindowRestrictsSync) {
@@ -264,7 +324,7 @@ TEST(UplinkDecoder, SearchWindowRestrictsSync) {
   cfg.search_from = syn.frame_start - 2 * spec.bit_us;
   cfg.search_to = syn.frame_start + 2 * spec.bit_us;
   UplinkDecoder dec(cfg);
-  const auto res = dec.decode_conditioned(syn.ct);
+  const auto res = decode_ct(dec, syn.ct);
   ASSERT_TRUE(res.found);
   EXPECT_GE(res.start_us, *cfg.search_from);
   EXPECT_LE(res.start_us, *cfg.search_to);
@@ -276,7 +336,7 @@ TEST(UplinkDecoder, ConfidenceHighWhenClean) {
   spec.noise = 0.1;
   const auto syn = make_synthetic(spec);
   UplinkDecoder dec(config_for(spec));
-  const auto res = dec.decode_conditioned(syn.ct);
+  const auto res = decode_ct(dec, syn.ct);
   ASSERT_TRUE(res.found);
   double mean_conf = 0.0;
   for (double c : res.confidence) mean_conf += c;
@@ -305,7 +365,7 @@ TEST(UplinkDecoder, HysteresisAbsorbsSpuriousOutliers) {
     }
   }
   UplinkDecoder dec(config_for(spec));
-  const auto res = dec.decode_conditioned(syn.ct);
+  const auto res = decode_ct(dec, syn.ct);
   ASSERT_TRUE(res.found);
   EXPECT_EQ(res.payload, syn.payload);
 }
@@ -318,7 +378,7 @@ TEST_P(DecoderBitRateSweep, DecodesAcrossBitDurations) {
   spec.noise = 0.3;
   const auto syn = make_synthetic(spec);
   UplinkDecoder dec(config_for(spec));
-  const auto res = dec.decode_conditioned(syn.ct);
+  const auto res = decode_ct(dec, syn.ct);
   ASSERT_TRUE(res.found);
   EXPECT_EQ(res.payload, syn.payload) << "bit_us=" << GetParam();
 }
@@ -352,8 +412,9 @@ TEST(UplinkDecoder, SyncTieBreakKeepsEarliestFrameStart) {
   // Two bit-identical, noiseless copies of the same frame on a packet
   // grid that divides both starts: the sync scores at both frame starts
   // are the SAME double, and the pinned first-max-wins tie-break (strict
-  // `>` in find_frame) must report the earlier one. A `>=` regression or
-  // a reordered score reduction would flip this to the later copy.
+  // `>` in frame_sync::search) must report the earlier one. A `>=`
+  // regression or a reordered score reduction would flip this to the
+  // later copy.
   const TimeUs bit{5'000};
   const BitVec payload = random_bits(24, 7);
   BitVec frame = barker13();
@@ -384,7 +445,7 @@ TEST(UplinkDecoder, SyncTieBreakKeepsEarliestFrameStart) {
   cfg.bit_duration_us = bit;
   cfg.num_good_streams = 1;
   const UplinkDecoder dec(cfg);
-  const auto res = dec.decode_conditioned(ct);
+  const auto res = decode_ct(dec, ct);
   ASSERT_TRUE(res.found);
   EXPECT_EQ(res.start_us, first);
   EXPECT_EQ(res.payload, payload);

@@ -126,13 +126,15 @@ TEST(WorkspaceIdentity, UplinkDecodeMatchesAcrossReuse) {
                         Case{&big_dec, &big}}) {
     const auto reference = c.dec->decode(*c.trace);
     EXPECT_TRUE(reference.found);
-    c.dec->decode_into(*c.trace, ws, out);
+    c.dec->decode_conditioned_into(condition(*c.trace, MeasurementSource::kCsi),
+                                   ws, out);
     expect_same(reference, out);
   }
 
   // And the not-found path must reset a previously-filled result.
   const wifi::CaptureTrace empty;
-  big_dec.decode_into(empty, ws, out);
+  big_dec.decode_conditioned_into(condition(empty, MeasurementSource::kCsi),
+                                  ws, out);
   expect_same(big_dec.decode(empty), out);
   EXPECT_FALSE(out.found);
   EXPECT_TRUE(out.payload.empty());
@@ -179,7 +181,8 @@ TEST(WorkspaceIdentity, CodedDecodeMatchesAcrossReuse) {
     const CodedUplinkDecoder dec(cfg);
     const auto reference = dec.decode(trace);
     EXPECT_TRUE(reference.found);
-    dec.decode_into(trace, ws, out);
+    dec.decode_conditioned_into(condition(trace, MeasurementSource::kCsi), ws,
+                                out);
     expect_same(reference, out);
   }
 }

@@ -255,6 +255,20 @@ TEST(CaptureService, DrainRecoversStrandedTailFrame) {
     ASSERT_EQ(s->frames_total(), 1u) << "session " << id;
     EXPECT_EQ(s->frame(0).payload, payload);
   }
+  // The service total is the sum over attached sessions, after the drain
+  // and again once a session has left.
+  const auto session_sum = [&svc] {
+    std::uint64_t sum = 0;
+    for (std::uint32_t id = 0; id < kSessions; ++id) {
+      if (const Session* s = svc.find(id)) sum += s->frames_total();
+    }
+    return sum;
+  };
+  EXPECT_EQ(svc.frames_total(), session_sum());
+  EXPECT_EQ(svc.frames_total(), kSessions);
+  ASSERT_TRUE(svc.detach(0).ok());
+  EXPECT_EQ(svc.frames_total(), session_sum());
+  EXPECT_EQ(svc.frames_total(), kSessions - 1);
 }
 
 TEST(CaptureService, OutputsIdenticalAcrossThreadCounts) {

@@ -6,6 +6,7 @@
 
 #include "phy/drift.h"
 #include "reader/conditioning.h"
+#include "reader/decode_workspace.h"
 #include "reader/uplink_decoder.h"
 #include "sim/event_queue.h"
 #include "sim/rng.h"
@@ -129,18 +130,30 @@ TEST(WiredContracts, DecoderConfigMustBeWellFormed) {
 }
 
 TEST(WiredContracts, ConditioningRejectsMalformedSeries) {
+  // The stream-batched conditioning kernel checks a positive window and
+  // non-decreasing timestamps; both must surface through condition_into.
   ScopedContractPolicy guard(ContractPolicy::kThrow);
-  const std::vector<TimeUs> sorted{TimeUs{0}, TimeUs{10}, TimeUs{20}};
-  const std::vector<TimeUs> unsorted{TimeUs{0}, TimeUs{20}, TimeUs{10}};
-  const std::vector<double> xs{1.0, 2.0, 3.0};
-  EXPECT_THROW(reader::remove_time_moving_average(sorted, xs, TimeUs{}),
-               ContractViolation);
-  EXPECT_THROW(
-      reader::remove_time_moving_average(unsorted, xs, TimeUs{100}),
-               ContractViolation);
-  EXPECT_THROW(reader::remove_time_moving_average({TimeUs{0}, TimeUs{10}},
-                                                  xs, TimeUs{100}),
-               ContractViolation);
+  const auto record = [](std::int64_t t) {
+    wifi::CaptureRecord r;
+    r.timestamp_us = TimeUs{t};
+    return r;
+  };
+  const wifi::CaptureTrace sorted{record(0), record(10), record(20)};
+  const wifi::CaptureTrace unsorted{record(0), record(20), record(10)};
+  reader::DecodeWorkspace ws;
+  reader::ConditionedTrace out;
+  for (const auto source :
+       {reader::MeasurementSource::kCsi, reader::MeasurementSource::kRssi}) {
+    EXPECT_THROW(reader::condition_into(sorted, source, TimeUs{}, ws, out),
+                 ContractViolation);
+    EXPECT_THROW(
+        reader::condition_into(unsorted, source, TimeUs{100}, ws, out),
+        ContractViolation);
+    EXPECT_THROW(reader::condition(unsorted, source, TimeUs{100}),
+                 ContractViolation);
+    EXPECT_NO_THROW(reader::condition_into(sorted, source, TimeUs{100}, ws,
+                                           out));
+  }
 }
 
 TEST(WiredContracts, PhyDriftRejectsOutOfRangeStream) {

@@ -3,7 +3,6 @@ Backscatter codebase.
 
 Entry points:
     python3 tools/wb_analyze [--json-out F] [--baseline F] [--root DIR]
-    python3 tools/wb_lint.py          (legacy shim, same engine)
 
 See tools/wb_analyze/engine.py for the engine and rules/ for the
 catalogue; `--list-rules` prints every rule with family and severity.

@@ -1,9 +1,9 @@
 """The six wb_lint rule generations, ported onto the wb_analyze engine.
 
-Behaviour is intentionally identical to tools/wb_lint.py at PR 4 (scope
-included): pragma-once / using-namespace / unit-suffix over src/ headers,
-no-rand / metric-name / no-raw-thread over src/, no-stox additionally over
-bench/ and examples/.
+Behaviour is intentionally identical to the retired regex linter
+tools/wb_lint.py (scope included): pragma-once / using-namespace /
+unit-suffix over src/ headers, no-rand / metric-name / no-raw-thread over
+src/, no-stox additionally over bench/ and examples/.
 """
 from __future__ import annotations
 

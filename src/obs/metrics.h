@@ -9,7 +9,8 @@
 // Design rules:
 //   * Names follow `module.thing.unit` (lowercase dotted, unit-suffixed
 //     last segment, e.g. `reader.uplink.bits_decoded_total`,
-//     `core.system.tag_energy_uj`). tools/wb_lint.py enforces the format.
+//     `core.system.tag_energy_uj`). The wb_analyze legacy `metric-name`
+//     rule enforces the format.
 //   * The hot path is lock-free: Counter/Gauge/LogHistogram updates are
 //     relaxed atomics, safe for per-packet use and for future threading.
 //     Only name registration (`counter()`/`gauge()`/`histogram()`) takes a

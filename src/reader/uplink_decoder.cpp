@@ -12,8 +12,8 @@
 #include "util/check.h"
 #include "wifi/trace_io.h"
 
-#include "util/dsp.h"
 #include "util/simd.h"
+#include "util/stats.h"
 
 namespace wb::reader {
 namespace {
@@ -74,6 +74,7 @@ bool UplinkDecoder::find_frame(const ConditionedTrace& ct,
   const frame_sync::Best best = frame_sync::search(
       ct, tmpl, {from, to, step},
       std::min(cfg_.num_good_streams, ct.num_streams()), ws);
+  score = best.score;
   if (best.score <= cfg_.sync_threshold) {
     // A best score of exactly 0 means no candidate window ever met the
     // preamble-fill bar — the preamble was never seen. A positive score
@@ -83,7 +84,6 @@ bool UplinkDecoder::find_frame(const ConditionedTrace& ct,
     return false;
   }
   start_us = best.start;
-  score = best.score;
   return true;
 }
 

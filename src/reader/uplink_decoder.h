@@ -149,10 +149,12 @@ class UplinkDecoder {
   // ---- pipeline stages (tested and reused by the benches) ----
 
   /// Frame sync over the configured window (frame_sync.h, with the
-  /// preamble in bit slots). Returns true when the best start cleared the
-  /// sync threshold, leaving start/score in the out-params and the
-  /// selected streams and their signed correlations in `ws.best_streams`
-  /// / `ws.best_corrs`. On failure `failure` names the drop reason —
+  /// preamble in bit slots). `score` receives the best correlation
+  /// whenever the search ran, so a kLowSnr drop can report it. Returns
+  /// true when the best start cleared the sync threshold, leaving the
+  /// start in `start_us` and the selected streams and their signed
+  /// correlations in `ws.best_streams` / `ws.best_corrs`. On failure
+  /// `failure` names the drop reason —
   /// kEmptyTrace (no packets/streams reached sync), kNoPreamble (no
   /// candidate window ever correlated), or kLowSnr (best correlation
   /// positive but at/below the sync threshold).

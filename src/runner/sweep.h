@@ -4,9 +4,9 @@
 //   * derives each task's RNG seed with the splittable scheme in
 //     seed_derive.h (`seed = derive_seed(base_seed, task_index)`) so no
 //     task shares random state with another,
-//   * executes tasks on a work-stealing ThreadPool (or inline on the
+//   * executes tasks through runner::for_each_index (inline on the
 //     calling thread when threads == 1, preserving serial behaviour
-//     exactly — no pool, no extra threads),
+//     exactly — no extra threads),
 //   * slots every result by task index and merges per-task
 //     obs::MetricsRegistry snapshots in ascending index order,
 // so the combined output is bit-identical to the serial run and
@@ -22,7 +22,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <exception>
-#include <functional>
 #include <memory>
 #include <optional>
 #include <type_traits>
@@ -32,6 +31,7 @@
 #include "obs/flight_recorder.h"
 #include "obs/forensics.h"
 #include "obs/metrics.h"
+#include "runner/indexed_for.h"
 #include "runner/merge.h"
 #include "runner/seed_derive.h"
 
@@ -111,7 +111,7 @@ class SweepRunner {
     std::vector<std::unique_ptr<obs::ForensicsSink>> sinks(
         cfg_.collect_forensics ? num_tasks : 0);
 
-    run_indexed(num_tasks, [&](std::size_t i) {
+    for_each_index(threads_, num_tasks, [&](std::size_t i) {
       const TaskContext ctx{i, derive_seed(cfg_.base_seed, i)};
       std::optional<obs::ScopedMetrics> metrics_guard;
       if (cfg_.collect_metrics) {
@@ -142,12 +142,6 @@ class SweepRunner {
   }
 
  private:
-  /// Non-template engine: executes task(0..num_tasks) on the pool (or
-  /// inline when threads() == 1), waits for completion, and rethrows the
-  /// lowest-index captured exception, if any.
-  void run_indexed(std::size_t num_tasks,
-                   const std::function<void(std::size_t)>& task);
-
   SweepConfig cfg_;
   unsigned threads_ = 1;
 };

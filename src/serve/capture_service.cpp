@@ -8,35 +8,39 @@
 
 namespace wb::serve {
 
-namespace {
-
-SessionLimits limits_from(const ServeConfig& cfg) {
-  SessionLimits limits;
-  // A full ring routed to a single session must fit its staging array.
-  limits.pending_capacity = cfg.ring_capacity;
-  limits.frame_capacity = cfg.frame_capacity;
-  limits.forensics_exemplar_cap = cfg.forensics_exemplar_cap;
-  return limits;
-}
-
-}  // namespace
-
 CaptureService::CaptureService(const ServeConfig& cfg)
     : cfg_(cfg),
       ring_(cfg.ring_capacity, cfg.policy),
-      sessions_(cfg.max_sessions, cfg.decoder, limits_from(cfg)),
+      slots_(cfg.max_sessions),
       ingest_sink_(cfg.forensics_exemplar_cap),
       dispatch_order_(cfg.max_sessions, nullptr),
-      drain_emitted_(cfg.max_sessions, 0) {
+      per_session_(cfg.max_sessions, 0) {
   WB_REQUIRE(cfg.max_sessions > 0, "service needs at least one session slot");
+  for (auto& slot : slots_) slot = std::make_unique<Session>(cfg);
 }
 
 Error CaptureService::attach(std::uint32_t session) {
   if (state_ == ServiceState::kStopped) {
     return Error::make(ErrorCode::kWrongState, "service is stopped");
   }
-  Error err = sessions_.attach(session);
-  if (!err.ok()) return err;
+  Session* free_slot = nullptr;
+  for (const auto& slot : slots_) {
+    if (slot->state() != SessionState::kDetached) {
+      if (slot->id() == session) {
+        return Error::make(ErrorCode::kAlreadyExists,
+                           "session " + std::to_string(session) +
+                               " is already attached");
+      }
+      continue;
+    }
+    if (free_slot == nullptr) free_slot = slot.get();
+  }
+  if (free_slot == nullptr) {
+    return Error::make(ErrorCode::kCapacity,
+                       "all " + std::to_string(slots_.size()) +
+                           " session slots are busy");
+  }
+  free_slot->attach(session);
   ++counters_.attached_total;
   state_ = ServiceState::kServing;
   if (auto* rec = obs::recorder()) {
@@ -50,7 +54,7 @@ Error CaptureService::detach(std::uint32_t session) {
   if (state_ == ServiceState::kStopped) {
     return Error::make(ErrorCode::kWrongState, "service is stopped");
   }
-  Session* s = sessions_.find(session);
+  Session* s = slot_of(session);
   if (s == nullptr) {
     return Error::make(ErrorCode::kNotFound,
                        "session " + std::to_string(session) +
@@ -62,10 +66,9 @@ Error CaptureService::detach(std::uint32_t session) {
   dispatch_ring();
   s->flush();
   retire_forensics(session, s->forensics_sink());
-  const Error err = sessions_.release(session);
-  WB_ENSURE(err.ok(), "release of a found session cannot fail");
+  s->detach();
   ++counters_.detached_total;
-  if (sessions_.active_count() == 0 && state_ == ServiceState::kServing) {
+  if (active_sessions() == 0 && state_ == ServiceState::kServing) {
     state_ = ServiceState::kIdle;
   }
   if (auto* rec = obs::recorder()) {
@@ -81,7 +84,7 @@ Error CaptureService::submit(std::uint32_t session,
     return Error::make(ErrorCode::kWrongState,  // wb-analyze: allow(realtime-alloc): reject-path error message; the accept path below is allocation-free (0 allocs/record per BENCH_serve)
                        std::string("submit while ") + to_string(state_));
   }
-  if (sessions_.find(session) == nullptr) {
+  if (slot_of(session) == nullptr) {
     return Error::make(ErrorCode::kNotFound,  // wb-analyze: allow(realtime-alloc): reject-path error message; the accept path below is allocation-free (0 allocs/record per BENCH_serve)
                        "session " + std::to_string(session) +
                            " is not attached");
@@ -124,24 +127,15 @@ std::size_t CaptureService::poll() { return dispatch_ring(); }
 std::size_t CaptureService::drain_all() {
   if (state_ == ServiceState::kStopped) return 0;
   const ServiceState resume =
-      sessions_.active_count() > 0 ? ServiceState::kServing
-                                   : ServiceState::kIdle;
+      active_sessions() > 0 ? ServiceState::kServing : ServiceState::kIdle;
   state_ = ServiceState::kDraining;
   dispatch_ring();
-  const std::size_t n =
-      sessions_.snapshot_attached(dispatch_order_.data(),
-                                  dispatch_order_.size());
-  if (cfg_.dispatch_threads <= 1 || n <= 1) {
-    for (std::size_t i = 0; i < n; ++i) {
-      drain_emitted_[i] = dispatch_order_[i]->flush();
-    }
-  } else {
-    runner::for_each_index(cfg_.dispatch_threads, n, [&](std::size_t i) {
-      drain_emitted_[i] = dispatch_order_[i]->flush();
-    });
-  }
+  const std::size_t n = snapshot_attached(dispatch_order_.data());
+  runner::for_each_index(cfg_.dispatch_threads, n, [this](std::size_t i) {
+    per_session_[i] = dispatch_order_[i]->flush();
+  });
   std::size_t frames = 0;
-  for (std::size_t i = 0; i < n; ++i) frames += drain_emitted_[i];
+  for (std::size_t i = 0; i < n; ++i) frames += per_session_[i];
   state_ = resume;
   return frames;
 }
@@ -149,14 +143,11 @@ std::size_t CaptureService::drain_all() {
 Error CaptureService::stop() {
   if (state_ == ServiceState::kStopped) return Error::success();
   drain_all();
-  const std::size_t n =
-      sessions_.snapshot_attached(dispatch_order_.data(),
-                                  dispatch_order_.size());
+  const std::size_t n = snapshot_attached(dispatch_order_.data());
   for (std::size_t i = 0; i < n; ++i) {
     Session* s = dispatch_order_[i];
     retire_forensics(s->id(), s->forensics_sink());
-    const Error err = sessions_.release(s->id());
-    WB_ENSURE(err.ok(), "release of an attached session cannot fail");
+    s->detach();
     ++counters_.detached_total;
   }
   state_ = ServiceState::kStopped;
@@ -164,44 +155,62 @@ Error CaptureService::stop() {
 }
 
 std::size_t CaptureService::dispatch_ring() {
-  IngestItem item;
-  std::size_t routed = 0;
-  while (ring_.pop(item)) {
-    Session* s = sessions_.find(item.session);
-    // submit() validates attachment and detach() drains the ring first,
-    // so a ring item always targets a live session.
-    WB_INVARIANT(s != nullptr, "ring item targets a detached session");
-    ingest_sink_.record_decode(obs::DropStage::kIngest);
-    s->enqueue(item.record);
-    ++routed;
-  }
+  const std::size_t routed = ring_.size();
   if (routed == 0) return 0;
+  // Each session walks the ring for its own items, in ring order. Per-
+  // session outputs are identical inline and on workers by construction
+  // (private sinks, suppressed thread-ambient observability).
+  const std::size_t n = snapshot_attached(dispatch_order_.data());
+  runner::for_each_index(  // wb-analyze: allow(realtime-blocking): opted-in worker fan-out (dispatch_threads > 1) synchronizes at batch boundaries by design; at the default dispatch_threads = 1 it runs inline and starts no thread
+      cfg_.dispatch_threads, n, [this](std::size_t i) {
+        per_session_[i] = dispatch_order_[i]->consume(ring_);
+      });
+  std::size_t consumed = 0;
+  for (std::size_t i = 0; i < n; ++i) consumed += per_session_[i];
+  // submit() validates attachment and detach() drains the ring first, so
+  // a ring item always targets a live session — and session ids are
+  // unique, so the walks consumed every item exactly once.
+  WB_INVARIANT(consumed == routed, "ring item targets a detached session");
+  for (std::size_t i = 0; i < routed; ++i) {
+    ingest_sink_.record_decode(obs::DropStage::kIngest);
+  }
+  ring_.clear();
   counters_.routed += routed;
   ++counters_.dispatch_batches;
-  const std::size_t n =
-      sessions_.snapshot_attached(dispatch_order_.data(),
-                                  dispatch_order_.size());
-  std::size_t m = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (dispatch_order_[i]->pending() > 0) {
-      dispatch_order_[m] = dispatch_order_[i];
-      ++m;
-    }
-  }
-  if (cfg_.dispatch_threads <= 1 || m <= 1) {
-    // Inline, ascending session id — the allocation-free serving path.
-    for (std::size_t i = 0; i < m; ++i) {
-      dispatch_order_[i]->dispatch_pending();
-    }
-  } else {
-    // Each worker owns one session; per-session outputs are identical
-    // to the inline path by construction (private sinks, suppressed
-    // thread-ambient observability).
-    runner::for_each_index(  // wb-analyze: allow(realtime-blocking): opted-in worker fan-out (dispatch_threads > 1) synchronizes at batch boundaries by design; the default single-driver path above never enters the pool
-        cfg_.dispatch_threads, m,
-        [this](std::size_t i) { dispatch_order_[i]->dispatch_pending(); });
-  }
   return routed;
+}
+
+Session* CaptureService::slot_of(std::uint32_t session) const noexcept {
+  for (const auto& slot : slots_) {
+    if (slot->state() != SessionState::kDetached && slot->id() == session) {
+      return slot.get();
+    }
+  }
+  return nullptr;
+}
+
+std::size_t CaptureService::active_sessions() const noexcept {
+  std::size_t n = 0;
+  for (const auto& slot : slots_) {
+    if (slot->state() != SessionState::kDetached) ++n;
+  }
+  return n;
+}
+
+std::size_t CaptureService::snapshot_attached(Session** out) const {
+  std::size_t n = 0;
+  for (const auto& slot : slots_) {
+    if (slot->state() == SessionState::kDetached) continue;
+    // Insertion sort by id: the pool is small and mostly ordered.
+    std::size_t pos = n;
+    while (pos > 0 && out[pos - 1]->id() > slot->id()) {
+      out[pos] = out[pos - 1];
+      --pos;
+    }
+    out[pos] = slot.get();
+    ++n;
+  }
+  return n;
 }
 
 void CaptureService::record_backpressure_drop(const IngestItem& victim) {
@@ -244,7 +253,13 @@ void CaptureService::retire_forensics(std::uint32_t id,
 }
 
 std::uint64_t CaptureService::frames_total() const noexcept {
-  return sessions_.frames_total();
+  std::uint64_t frames = 0;
+  for (const auto& slot : slots_) {
+    if (slot->state() != SessionState::kDetached) {
+      frames += slot->frames_total();
+    }
+  }
+  return frames;
 }
 
 std::vector<std::pair<std::string, std::string>> CaptureService::properties()
@@ -262,11 +277,11 @@ std::vector<std::pair<std::string, std::string>> CaptureService::properties()
       {"ring.depth_peak", std::to_string(ring_.depth_peak())},
       {"ring.policy", to_string(cfg_.policy)},
       {"service.state", to_string(state_)},
-      {"sessions.active", std::to_string(sessions_.active_count())},
+      {"sessions.active", std::to_string(active_sessions())},
       {"sessions.attached_total", std::to_string(counters_.attached_total)},
       {"sessions.detached_total", std::to_string(counters_.detached_total)},
       {"sessions.frames_total", std::to_string(frames_total())},
-      {"sessions.max", std::to_string(sessions_.max_sessions())},
+      {"sessions.max", std::to_string(slots_.size())},
   };
 }
 
@@ -284,13 +299,13 @@ void CaptureService::publish_metrics() const {
   m->gauge("serve.ring.depth_peak_count")
       .max_of(static_cast<double>(ring_.depth_peak()));
   m->gauge("serve.session.active_count")
-      .set(static_cast<double>(sessions_.active_count()));
+      .set(static_cast<double>(active_sessions()));
 }
 
 void CaptureService::merge_forensics_into(obs::ForensicsSink& out) const {
   out.merge_from(ingest_sink_);
-  std::vector<Session*> live(sessions_.max_sessions(), nullptr);
-  const std::size_t n = sessions_.snapshot_attached(live.data(), live.size());
+  std::vector<Session*> live(slots_.size(), nullptr);
+  const std::size_t n = snapshot_attached(live.data());
   std::size_t i = 0;
   auto it = retired_.begin();
   while (it != retired_.end() || i < n) {

@@ -1,9 +1,9 @@
 // CaptureService: the live-capture front end (DESIGN.md §14). One
 // externally synchronised driver thread submits (session, record) pairs;
 // the service admits them through a preallocated IngestRing with an
-// explicit backpressure policy, routes them to per-session decoders, and
-// dispatches sessions — inline or across a deterministic worker pool —
-// with byte-identical outputs either way.
+// explicit backpressure policy, and lets every attached session decode
+// its own records straight out of the ring — inline or one session per
+// worker thread — with byte-identical outputs either way.
 //
 // Observability follows the repo's ledger discipline: every record
 // admitted to the ring is a DropStage::kIngest attempt; leaving the ring
@@ -37,7 +37,7 @@
 namespace wb::serve {
 
 struct ServeConfig {
-  /// Ingest ring slots (also the per-session staging bound).
+  /// Ingest ring slots.
   std::size_t ring_capacity = 256;
   BackpressurePolicy policy = BackpressurePolicy::kBlockProducer;
 
@@ -45,8 +45,8 @@ struct ServeConfig {
   std::size_t max_sessions = 8;
 
   /// Worker threads for session dispatch. <=1 dispatches inline (in
-  /// ascending session id order); more threads split sessions across a
-  /// pool with identical per-session results.
+  /// ascending session id order); more threads split sessions across
+  /// workers with identical per-session results.
   unsigned dispatch_threads = 1;
 
   /// Decoder configuration shared by every session.
@@ -94,8 +94,8 @@ class CaptureService {
   /// Binds a new session id. kAlreadyExists / kCapacity / kWrongState.
   Error attach(std::uint32_t session);
 
-  /// Drains everything queued for `session` (ring + staging + decoder
-  /// tail), retires its forensics sink, and frees the slot.
+  /// Drains everything queued for `session` (ring + decoder tail),
+  /// retires its forensics sink, and frees the slot.
   Error detach(std::uint32_t session);
 
   /// Drains the ring and every session's decoder tail; sessions stay
@@ -117,7 +117,7 @@ class CaptureService {
   WB_REALTIME Error submit(std::uint32_t session,
                            const wifi::CaptureRecord& rec);
 
-  /// Drains the ring into sessions and dispatches them; returns records
+  /// Dispatches the ring's records to their sessions; returns records
   /// routed. Call at any cadence; submit() under backpressure calls it
   /// implicitly.
   WB_REALTIME std::size_t poll();
@@ -128,11 +128,9 @@ class CaptureService {
   const ServeConfig& config() const noexcept { return cfg_; }
   /// Attached session by id; nullptr if none.
   const Session* find(std::uint32_t session) const noexcept {
-    return sessions_.find(session);
+    return slot_of(session);
   }
-  std::size_t active_sessions() const noexcept {
-    return sessions_.active_count();
-  }
+  std::size_t active_sessions() const noexcept;
   std::size_t ring_depth() const noexcept { return ring_.size(); }
   std::size_t ring_depth_peak() const noexcept { return ring_.depth_peak(); }
 
@@ -172,10 +170,18 @@ class CaptureService {
   std::string forensics_jsonl() const;
 
  private:
-  /// Pops every ring item into its session's staging, then dispatches
-  /// sessions with pending records (ascending id; parallel when
-  /// configured). Returns records routed.
+  /// Every attached session decodes its ring items (ascending id;
+  /// parallel when configured), then the ring is cleared. Returns
+  /// records routed.
   std::size_t dispatch_ring();
+
+  /// The attached session with this id; nullptr if none.
+  Session* slot_of(std::uint32_t session) const noexcept;
+
+  /// Writes the attached sessions into out[0..max_sessions) in
+  /// ascending id order; returns how many were written. Allocation-free
+  /// (insertion sort over the slots).
+  std::size_t snapshot_attached(Session** out) const;
 
   /// Ledger + exemplar + counter updates for one backpressure victim.
   void record_backpressure_drop(const IngestItem& victim);
@@ -185,14 +191,17 @@ class CaptureService {
 
   ServeConfig cfg_;
   IngestRing ring_;
-  SessionManager sessions_;
+  /// Fixed session slots: constructed once, reused across attach/detach
+  /// cycles, so repeated sessions cost no steady-state allocation beyond
+  /// the fresh forensics sink per attach.
+  std::vector<std::unique_ptr<Session>> slots_;
   obs::ForensicsSink ingest_sink_;  ///< kIngest ledger + backpressure drops
   /// Sinks of detached sessions, keyed by session id (merged in key
   /// order at export). Re-detaching an id merges into its entry.
   std::map<std::uint32_t, std::unique_ptr<obs::ForensicsSink>> retired_;
   std::unique_ptr<obs::ForensicsSink> retired_overflow_;
   std::vector<Session*> dispatch_order_;  ///< preallocated scratch
-  std::vector<std::size_t> drain_emitted_;  ///< preallocated scratch
+  std::vector<std::size_t> per_session_;  ///< preallocated scratch
   ServiceState state_ = ServiceState::kIdle;
   Counters counters_;
 };

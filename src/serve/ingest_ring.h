@@ -2,9 +2,11 @@
 // producers (NIC replay threads, trace feeds) and the dispatch loop.
 //
 // The ring is a fixed-capacity circular buffer of (session, record)
-// items — every slot is allocated at construction, push/pop are index
-// arithmetic plus one record copy, so the steady-state ingest path never
-// allocates (the BENCH_serve gate pins this at 0 allocs/record).
+// items — every slot is allocated at construction, push is index
+// arithmetic plus one record copy, and sessions read their items in
+// place (at) before the service clears the ring, so the steady-state
+// ingest path never allocates (the BENCH_serve gate pins this at 0
+// allocs/record).
 //
 // Backpressure is an explicit policy chosen at construction, not an
 // accident of container growth:
@@ -25,9 +27,10 @@
 // mechanical and observability-free so it can be unit-tested in
 // isolation.
 //
-// Threading: single-producer/single-consumer from the same externally
-// synchronised driver thread (the CaptureService contract). No internal
-// locking, no blocking waits.
+// Threading: push and clear come from the one externally synchronised
+// driver thread (the CaptureService contract); between them, a dispatch
+// only reads the ring, from one worker per session. No internal locking,
+// no blocking waits.
 #pragma once
 
 #include <cstddef>
@@ -90,7 +93,7 @@ class IngestRing {
           return PushOutcome::kDroppedNewest;
         case BackpressurePolicy::kDropOldest:
           evicted = slots_[head_];
-          head_ = advance(head_);
+          head_ = wrap(head_ + 1);
           --count_;
           store(item);
           return PushOutcome::kAcceptedEvicted;
@@ -101,13 +104,18 @@ class IngestRing {
     return PushOutcome::kAccepted;
   }
 
-  /// Removes the oldest item into `out`; false when empty.
-  bool pop(IngestItem& out) {
-    if (count_ == 0) return false;
-    out = slots_[head_];
-    head_ = advance(head_);
-    --count_;
-    return true;
+  /// The i-th oldest item, i < size(). Read-only: every session walks
+  /// the same ring to pick out its own items.
+  const IngestItem& at(std::size_t i) const {
+    WB_REQUIRE(i < count_, "ring index out of range");
+    return slots_[wrap(head_ + i)];
+  }
+
+  /// Empties the ring once its items are consumed; the head moves past
+  /// them.
+  void clear() noexcept {
+    head_ = wrap(head_ + count_);
+    count_ = 0;
   }
 
   std::size_t size() const noexcept { return count_; }
@@ -119,13 +127,12 @@ class IngestRing {
   std::size_t depth_peak() const noexcept { return depth_peak_; }
 
  private:
-  std::size_t advance(std::size_t i) const noexcept {
-    return i + 1 == slots_.size() ? 0 : i + 1;
+  /// Slot of logical position i in [0, 2 * capacity).
+  std::size_t wrap(std::size_t i) const noexcept {
+    return i >= slots_.size() ? i - slots_.size() : i;
   }
   void store(const IngestItem& item) {
-    std::size_t tail = head_ + count_;
-    if (tail >= slots_.size()) tail -= slots_.size();
-    slots_[tail] = item;
+    slots_[wrap(head_ + count_)] = item;
     ++count_;
   }
 

@@ -3,21 +3,33 @@
 #include "obs/flight_recorder.h"
 #include "obs/json.h"
 #include "obs/metrics.h"
+#include "serve/capture_service.h"
 #include "util/check.h"
 
 namespace wb::serve {
 
-Session::Session(const reader::StreamingDecoderConfig& decoder_cfg,
-                 const SessionLimits& limits)
-    : decoder_(decoder_cfg),
-      limits_(limits),
-      pending_(limits.pending_capacity),
-      frames_(limits.frame_capacity),
-      sink_(std::make_unique<obs::ForensicsSink>(
-          limits.forensics_exemplar_cap)) {
-  WB_REQUIRE(limits.pending_capacity > 0,
-             "session pending capacity must be positive");
-  WB_REQUIRE(limits.frame_capacity > 0,
+namespace {
+
+/// The session's own observability environment: frames/drops land in the
+/// private sink; caller-thread metrics and flight recorder are suppressed
+/// so an inline (threads=1) dispatch has exactly the side effects of a
+/// worker-thread one.
+struct SessionObsScope {
+  explicit SessionObsScope(obs::ForensicsSink& sink) : fx(sink) {}
+  const obs::ScopedForensics fx;
+  const obs::ScopedFlightRecorder no_rec{nullptr};
+  const obs::ScopedMetrics no_metrics{
+      static_cast<obs::MetricsRegistry*>(nullptr)};
+};
+
+}  // namespace
+
+Session::Session(const ServeConfig& cfg)
+    : decoder_(cfg.decoder),
+      exemplar_cap_(cfg.forensics_exemplar_cap),
+      frames_(cfg.frame_capacity),
+      sink_(std::make_unique<obs::ForensicsSink>(exemplar_cap_)) {
+  WB_REQUIRE(cfg.frame_capacity > 0,
              "session frame capacity must be positive");
 }
 
@@ -26,64 +38,47 @@ void Session::attach(std::uint32_t id) {
              "attach on a slot that is not free");
   id_ = id;
   state_ = SessionState::kAttached;
-  pending_count_ = 0;
   frames_total_ = 0;
   records_dispatched_ = 0;
   decoder_.reset();  // keeps warmed buffer/workspace capacity
   // Fresh ledger per stream; the previous sink was retired by the
-  // service before release().
-  sink_ = std::make_unique<obs::ForensicsSink>(limits_.forensics_exemplar_cap);
+  // service before detach().
+  sink_ = std::make_unique<obs::ForensicsSink>(exemplar_cap_);
 }
 
 void Session::detach() {
   WB_REQUIRE(state_ != SessionState::kDetached, "detach on a free slot");
-  WB_REQUIRE(pending_count_ == 0, "detach with undispatched records");
   state_ = SessionState::kDetached;
 }
 
-void Session::enqueue(const wifi::CaptureRecord& rec) {
+std::size_t Session::consume(const IngestRing& ring) {
   WB_REQUIRE(state_ == SessionState::kAttached ||
                  state_ == SessionState::kActive,
-             "enqueue on a session that is not serving");
-  WB_REQUIRE(pending_count_ < pending_.size(),
-             "session staging overflow: dispatch must run between "
-             "ring drains");
-  pending_[pending_count_] = rec;
-  ++pending_count_;
-}
-
-std::size_t Session::dispatch_pending() {
-  if (pending_count_ == 0) return 0;
-  // The session's own observability environment: frames/drops land in
-  // the private sink; caller-thread metrics and flight recorder are
-  // suppressed so an inline (threads=1) dispatch has exactly the side
-  // effects of a worker-thread one.
-  const obs::ScopedForensics fx(*sink_);
-  const obs::ScopedFlightRecorder no_rec(nullptr);
-  const obs::ScopedMetrics no_metrics(
-      static_cast<obs::MetricsRegistry*>(nullptr));
-  std::size_t frames = 0;
-  for (std::size_t i = 0; i < pending_count_; ++i) {
-    frames += decoder_.push(pending_[i], *this);
+             "consume on a session that is not serving");
+  const SessionObsScope scope(*sink_);
+  std::size_t consumed = 0;
+  for (std::size_t i = 0; i < ring.size(); ++i) {
+    const IngestItem& item = ring.at(i);
+    if (item.session != id_) continue;
+    decoder_.push(item.record, *this);
+    ++consumed;
   }
-  records_dispatched_ += pending_count_;
-  pending_count_ = 0;
-  state_ = SessionState::kActive;
-  return frames;
+  if (consumed > 0) {
+    records_dispatched_ += consumed;
+    state_ = SessionState::kActive;
+  }
+  return consumed;
 }
 
 std::size_t Session::flush() {
   WB_REQUIRE(state_ == SessionState::kAttached ||
                  state_ == SessionState::kActive,
              "flush on a session that is not serving");
-  std::size_t frames = dispatch_pending();
   state_ = SessionState::kDraining;
+  std::size_t frames = 0;
   {
-    const obs::ScopedForensics fx(*sink_);
-    const obs::ScopedFlightRecorder no_rec(nullptr);
-    const obs::ScopedMetrics no_metrics(
-        static_cast<obs::MetricsRegistry*>(nullptr));
-    frames += decoder_.flush(*this);
+    const SessionObsScope scope(*sink_);
+    frames = decoder_.flush(*this);
   }
   state_ = records_dispatched_ > 0 ? SessionState::kActive
                                    : SessionState::kAttached;
@@ -131,104 +126,6 @@ void Session::on_frame(const reader::UplinkDecodeResult& frame) {
   slot.packets_used = frame.packets_used;
   slot.payload = frame.payload;  // copy-assign: slot capacity is reused
   ++frames_total_;
-}
-
-SessionManager::SessionManager(
-    std::size_t max_sessions,
-    const reader::StreamingDecoderConfig& decoder_cfg,
-    const SessionLimits& limits)
-    : slots_(max_sessions) {
-  WB_REQUIRE(max_sessions > 0, "session pool must hold at least one slot");
-  for (auto& slot : slots_) {
-    slot = std::make_unique<Session>(decoder_cfg, limits);
-  }
-}
-
-Error SessionManager::attach(std::uint32_t id) {
-  Session* free_slot = nullptr;
-  for (auto& slot : slots_) {
-    if (slot->state() != SessionState::kDetached) {
-      if (slot->id() == id) {
-        return Error::make(ErrorCode::kAlreadyExists,
-                           "session " + std::to_string(id) +
-                               " is already attached");
-      }
-      continue;
-    }
-    if (free_slot == nullptr) free_slot = slot.get();
-  }
-  if (free_slot == nullptr) {
-    return Error::make(ErrorCode::kCapacity,
-                       "all " + std::to_string(slots_.size()) +
-                           " session slots are busy");
-  }
-  free_slot->attach(id);
-  return Error::success();
-}
-
-Error SessionManager::release(std::uint32_t id) {
-  Session* s = find(id);
-  if (s == nullptr) {
-    return Error::make(ErrorCode::kNotFound,
-                       "session " + std::to_string(id) + " is not attached");
-  }
-  s->detach();
-  return Error::success();
-}
-
-Session* SessionManager::find(std::uint32_t id) noexcept {
-  for (auto& slot : slots_) {
-    if (slot->state() != SessionState::kDetached && slot->id() == id) {
-      return slot.get();
-    }
-  }
-  return nullptr;
-}
-
-const Session* SessionManager::find(std::uint32_t id) const noexcept {
-  for (const auto& slot : slots_) {
-    if (slot->state() != SessionState::kDetached && slot->id() == id) {
-      return slot.get();
-    }
-  }
-  return nullptr;
-}
-
-std::size_t SessionManager::active_count() const noexcept {
-  std::size_t n = 0;
-  for (const auto& slot : slots_) {
-    if (slot->state() != SessionState::kDetached) ++n;
-  }
-  return n;
-}
-
-std::uint64_t SessionManager::frames_total() const noexcept {
-  std::uint64_t frames = 0;
-  for (const auto& slot : slots_) {
-    if (slot->state() != SessionState::kDetached) {
-      frames += slot->frames_total();
-    }
-  }
-  return frames;
-}
-
-std::size_t SessionManager::snapshot_attached(Session** out,
-                                              std::size_t cap) const {
-  WB_REQUIRE(cap >= slots_.size(),
-             "snapshot buffer smaller than the session pool");
-  std::size_t n = 0;
-  for (const auto& slot : slots_) {
-    if (slot->state() == SessionState::kDetached) continue;
-    // Insertion sort by id: the pool is small and mostly ordered.
-    std::size_t pos = n;
-    while (pos > 0 && out[pos - 1]->id() > slot->id()) {
-      out[pos] = out[pos - 1];
-      --pos;
-    }
-    out[pos] = slot.get();
-    ++n;
-  }
-  return n;
 }
 
 }  // namespace wb::serve

@@ -1,22 +1,23 @@
 // Per-stream serving state: a Session owns one StreamingUplinkDecoder,
-// bounded staging and result storage, and a private forensics sink, so
-// any number of concurrent backscatter streams decode independently with
+// bounded result storage, and a private forensics sink, so any number of
+// concurrent backscatter streams decode independently with
 // byte-identical per-session output regardless of how the service
 // interleaves or parallelises them.
 //
-// Lifecycle (driven by SessionManager / CaptureService):
+// Lifecycle (driven by CaptureService):
 //
-//   kDetached --attach()--> kAttached --first dispatch--> kActive
+//   kDetached --attach()--> kAttached --first consume--> kActive
 //      ^                                                     |
 //      |                   flush()  <---- begin_drain() ------
 //      +---- detach() ---- (kDraining)          (drain-and-continue
 //                                                returns to kActive)
 //
-// Memory is bounded by SessionLimits at attach time: the pending staging
-// array and the kept-frames ring are preallocated and written by index —
-// nothing in a session grows with stream length, and after the first
-// wrap of a payload slot the frame-copy path stops allocating (the
-// BENCH_serve gate measures this).
+// A session stages nothing: it decodes its records straight out of the
+// service's IngestRing. Memory is bounded by ServeConfig at construction:
+// the kept-frames ring is preallocated and written by index — nothing in
+// a session grows with stream length, and after the first wrap of a
+// payload slot the frame-copy path stops allocating (the BENCH_serve
+// gate measures this).
 #pragma once
 
 #include <cstddef>
@@ -27,12 +28,13 @@
 
 #include "obs/forensics.h"
 #include "reader/streaming_decoder.h"
-#include "serve/error.h"
+#include "serve/ingest_ring.h"
 #include "util/bits.h"
 #include "util/units.h"
-#include "wifi/capture.h"
 
 namespace wb::serve {
+
+struct ServeConfig;
 
 enum class SessionState : std::uint8_t {
   kDetached,  ///< slot free; no stream bound
@@ -63,28 +65,15 @@ struct DecodedFrame {
   BitVec payload;
 };
 
-/// Per-session memory bounds, fixed at SessionManager construction.
-struct SessionLimits {
-  /// Staged records awaiting dispatch. The service sizes this to the
-  /// ingest ring capacity: a full ring routed to one session still fits.
-  std::size_t pending_capacity = 256;
-
-  /// Kept decoded frames (ring; oldest overwritten once full).
-  std::size_t frame_capacity = 1024;
-
-  /// Raw-trace exemplars per (stage, reason) in the session's sink.
-  std::size_t forensics_exemplar_cap = obs::ForensicsSink::kDefaultExemplarCap;
-};
-
 class Session final : public reader::FrameSink {
  public:
-  Session(const reader::StreamingDecoderConfig& decoder_cfg,
-          const SessionLimits& limits);
+  /// Takes the decoder, frame_capacity and forensics_exemplar_cap.
+  explicit Session(const ServeConfig& cfg);
 
   Session(const Session&) = delete;
   Session& operator=(const Session&) = delete;
 
-  // ---- lifecycle (SessionManager only) ----
+  // ---- lifecycle (CaptureService only) ----
 
   /// kDetached -> kAttached: binds `id`, resets the decoder (keeping its
   /// warmed capacity) and starts a fresh forensics sink.
@@ -99,25 +88,19 @@ class Session final : public reader::FrameSink {
 
   // ---- data path ----
 
-  /// Stage one record for the next dispatch. Bounded: staging more than
-  /// pending_capacity records without a dispatch is a contract violation
-  /// (the service's ring sizing makes it unreachable).
-  void enqueue(const wifi::CaptureRecord& rec);
+  /// Pushes, in ring order, every ring item tagged with this session's
+  /// id through the streaming decoder; returns how many it consumed.
+  /// Installs the session's own observability environment (its forensics
+  /// sink; caller-thread metrics and flight recorder suppressed) so
+  /// decode side effects are identical whether this runs inline or on a
+  /// worker thread. Safe to call concurrently with other sessions'
+  /// consume() of the same ring — the ring is only read, and all state
+  /// written is per-session.
+  std::size_t consume(const IngestRing& ring);
 
-  /// Records staged and not yet dispatched.
-  std::size_t pending() const noexcept { return pending_count_; }
-
-  /// Pushes every staged record through the streaming decoder; returns
-  /// frames emitted. Installs the session's own observability environment
-  /// (its forensics sink; caller-thread metrics and flight recorder
-  /// suppressed) so decode side effects are identical whether this runs
-  /// inline or on a worker thread. Safe to call concurrently with other
-  /// sessions' dispatches — all state touched is per-session.
-  std::size_t dispatch_pending();
-
-  /// Drains staged records, then flushes the streaming decoder (final
-  /// scan over the buffered tail). Returns frames emitted. The session
-  /// stays attached (kActive) and may keep receiving records.
+  /// Flushes the streaming decoder (final scan over the buffered tail).
+  /// Returns frames emitted. The session stays attached (kActive) and
+  /// may keep receiving records.
   std::size_t flush();
 
   // ---- results ----
@@ -128,7 +111,7 @@ class Session final : public reader::FrameSink {
   std::size_t frames_kept() const noexcept;
   /// i-th oldest retained frame, i < frames_kept().
   const DecodedFrame& frame(std::size_t i) const;
-  /// Records ever dispatched through the decoder since attach.
+  /// Records ever consumed through the decoder since attach.
   std::uint64_t records_dispatched() const noexcept {
     return records_dispatched_;
   }
@@ -147,53 +130,14 @@ class Session final : public reader::FrameSink {
 
  private:
   reader::StreamingUplinkDecoder decoder_;
-  SessionLimits limits_;
+  std::size_t exemplar_cap_;
   std::uint32_t id_ = 0;
   SessionState state_ = SessionState::kDetached;
 
-  std::vector<wifi::CaptureRecord> pending_;  ///< preallocated staging
-  std::size_t pending_count_ = 0;
   std::vector<DecodedFrame> frames_;  ///< preallocated ring
   std::uint64_t frames_total_ = 0;
   std::uint64_t records_dispatched_ = 0;
   std::unique_ptr<obs::ForensicsSink> sink_;  ///< fresh per attach
-};
-
-/// Fixed pool of session slots with id-based lookup. Slots (and their
-/// decoders) are constructed once; attach/detach cycles reuse them, so
-/// repeated sessions cost no steady-state allocation beyond the fresh
-/// forensics sink per attach.
-class SessionManager {
- public:
-  SessionManager(std::size_t max_sessions,
-                 const reader::StreamingDecoderConfig& decoder_cfg,
-                 const SessionLimits& limits);
-
-  /// Binds `id` to a free slot. Fails with kAlreadyExists / kCapacity.
-  Error attach(std::uint32_t id);
-
-  /// Marks `id` detached (slot reusable). Fails with kNotFound. The
-  /// caller must have flushed the session first.
-  Error release(std::uint32_t id);
-
-  /// The attached session with this id; nullptr if none.
-  Session* find(std::uint32_t id) noexcept;
-  const Session* find(std::uint32_t id) const noexcept;
-
-  std::size_t max_sessions() const noexcept { return slots_.size(); }
-  /// Currently attached sessions.
-  std::size_t active_count() const noexcept;
-
-  /// Frames emitted across the currently attached sessions.
-  std::uint64_t frames_total() const noexcept;
-
-  /// Writes pointers to all attached sessions into out[0..cap) in
-  /// ascending id order; returns how many were written. cap must be >=
-  /// max_sessions(). Allocation-free (insertion sort over <= cap slots).
-  std::size_t snapshot_attached(Session** out, std::size_t cap) const;
-
- private:
-  std::vector<std::unique_ptr<Session>> slots_;
 };
 
 }  // namespace wb::serve

@@ -6,8 +6,8 @@
 // input files into silently wrong data. These helpers succeed only when
 // the ENTIRE string is a valid value of the requested type: no leading or
 // trailing whitespace, no trailing characters, no negative values for
-// unsigned types, and range-checked. wb_lint's no-stox rule forbids
-// std::sto* in src/ in favour of these.
+// unsigned types, and range-checked. The wb_analyze legacy `no-stox`
+// rule forbids std::sto* in src/ in favour of these.
 #pragma once
 
 #include <charconv>

@@ -1,5 +1,7 @@
-// Statistics accumulators used by experiments and benchmarks: running
-// moments, BER counters, and histograms (for the Fig-4 style PDFs).
+// Statistics used by experiments, benchmarks and the reader: running
+// moments, BER counters, histograms (for the Fig-4 style PDFs), and the
+// summary statistics behind the uplink decoder's hysteresis thresholds
+// (paper §3.2 step 3).
 #pragma once
 
 #include <cstddef>
@@ -8,6 +10,15 @@
 #include <vector>
 
 namespace wb {
+
+/// Sample mean (0 for an empty span).
+double mean(std::span<const double> x);
+
+/// Unbiased sample variance (0 for fewer than 2 samples).
+double variance(std::span<const double> x);
+
+/// Sample standard deviation.
+double stddev(std::span<const double> x);
 
 /// Numerically stable running mean/variance (Welford).
 class RunningStats {

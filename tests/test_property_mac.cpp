@@ -7,12 +7,18 @@
 namespace wb::wifi {
 namespace {
 
+// gtest names each case by a byte dump of the param, so MacCase must have
+// no padding: padding bytes are uninitialised and would make the test
+// names differ from build to build. size_bytes is 64-bit for that reason.
 struct MacCase {
   std::size_t stations;
-  std::uint32_t size_bytes;
+  std::uint64_t size_bytes;
   double rate_mbps;
   std::uint64_t seed;
 };
+static_assert(sizeof(MacCase) == sizeof(std::size_t) +
+                                     2 * sizeof(std::uint64_t) +
+                                     sizeof(double));
 
 class MacSweep : public ::testing::TestWithParam<MacCase> {};
 
@@ -22,7 +28,8 @@ TEST_P(MacSweep, ConservationInvariants) {
   std::vector<std::uint32_t> ids;
   for (std::size_t i = 0; i < c.stations; ++i) {
     ids.push_back(mac.add_station());
-    mac.make_saturated(ids.back(), c.size_bytes, c.rate_mbps);
+    mac.make_saturated(ids.back(), static_cast<std::uint32_t>(c.size_bytes),
+                       c.rate_mbps);
   }
   const TimeUs horizon = kMicrosPerSec;
   mac.run_until(horizon);

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "obs/flight_recorder.h"
+#include "obs/forensics.h"
 #include "reader/frame_sync.h"
 
 #include "sim/rng.h"
@@ -315,6 +317,32 @@ TEST(UplinkDecoder, SyncThresholdRejectsPureNoise) {
   cfg.sync_threshold = 0.5;  // require a real preamble
   UplinkDecoder dec(cfg);
   EXPECT_FALSE(decode_ct(dec, syn.ct).found);
+}
+
+TEST(UplinkDecoder, LowSnrBreadcrumbCarriesBestSyncScore) {
+  // A clean frame under an unreachable sync threshold drops as low_snr.
+  // The flight-recorder event must carry the positive best score that
+  // made it low_snr rather than no_preamble; the result's sync_score
+  // stays 0, as on every drop.
+  SyntheticSpec spec;
+  const auto syn = make_synthetic(spec);
+  UplinkDecoderConfig cfg = config_for(spec);
+  cfg.sync_threshold = 1.0;  // the normalised score never exceeds 1
+  UplinkDecoder dec(cfg);
+  obs::FlightRecorder rec(8);
+  UplinkDecodeResult res;
+  {
+    const obs::ScopedFlightRecorder guard(&rec);
+    res = decode_ct(dec, syn.ct);
+  }
+  ASSERT_EQ(res.drop_reason, obs::DropReason::kLowSnr);
+  EXPECT_EQ(res.sync_score, 0.0);
+  const auto events = rec.events();
+  ASSERT_EQ(events.size(), 1u);
+  EXPECT_STREQ(events[0].message, obs::to_string(obs::DropReason::kLowSnr));
+  ASSERT_GE(events[0].num_fields, 1u);
+  EXPECT_STREQ(events[0].fields[0].key, "sync_score");
+  EXPECT_GT(events[0].fields[0].value, 0.0);
 }
 
 TEST(UplinkDecoder, SearchWindowRestrictsSync) {

@@ -23,14 +23,15 @@ TEST(IngestRing, AcceptsUpToCapacityAndPopsFifo) {
   }
   EXPECT_TRUE(ring.full());
   EXPECT_EQ(ring.size(), 4u);
-  IngestItem out;
-  for (int i = 0; i < 4; ++i) {
-    ASSERT_TRUE(ring.pop(out));
-    EXPECT_EQ(out.session, 7u);
-    EXPECT_EQ(out.record.timestamp_us, TimeUs{100 + i});
+  for (std::size_t i = 0; i < 4; ++i) {
+    EXPECT_EQ(ring.at(i).session, 7u);
+    EXPECT_EQ(ring.at(i).record.timestamp_us,
+              TimeUs{100 + static_cast<std::int64_t>(i)});
   }
+  ring.clear();
   EXPECT_TRUE(ring.empty());
-  EXPECT_FALSE(ring.pop(out));
+  ScopedContractPolicy guard(ContractPolicy::kThrow);
+  EXPECT_THROW(ring.at(0), ContractViolation);
 }
 
 TEST(IngestRing, BlockProducerRejectsWhenFull) {
@@ -41,9 +42,8 @@ TEST(IngestRing, BlockProducerRejectsWhenFull) {
   EXPECT_EQ(ring.push(item_at(0, 3), evicted), PushOutcome::kRejectedFull);
   // Nothing was lost or admitted: the ring still holds exactly 1, 2.
   EXPECT_EQ(ring.size(), 2u);
-  IngestItem out;
-  ASSERT_TRUE(ring.pop(out));
-  EXPECT_EQ(out.record.timestamp_us, TimeUs{1});
+  EXPECT_EQ(ring.at(0).record.timestamp_us, TimeUs{1});
+  EXPECT_EQ(ring.at(1).record.timestamp_us, TimeUs{2});
 }
 
 TEST(IngestRing, DropOldestEvictsHeadAndAdmits) {
@@ -56,11 +56,9 @@ TEST(IngestRing, DropOldestEvictsHeadAndAdmits) {
   // The oldest item is handed back for forensic accounting.
   EXPECT_EQ(evicted.session, 1u);
   EXPECT_EQ(evicted.record.timestamp_us, TimeUs{10});
-  IngestItem out;
-  ASSERT_TRUE(ring.pop(out));
-  EXPECT_EQ(out.record.timestamp_us, TimeUs{20});
-  ASSERT_TRUE(ring.pop(out));
-  EXPECT_EQ(out.record.timestamp_us, TimeUs{30});
+  ASSERT_EQ(ring.size(), 2u);
+  EXPECT_EQ(ring.at(0).record.timestamp_us, TimeUs{20});
+  EXPECT_EQ(ring.at(1).record.timestamp_us, TimeUs{30});
 }
 
 TEST(IngestRing, DropNewestRefusesIncoming) {
@@ -70,43 +68,41 @@ TEST(IngestRing, DropNewestRefusesIncoming) {
   ring.push(item_at(2, 20), evicted);
   EXPECT_EQ(ring.push(item_at(3, 30), evicted), PushOutcome::kDroppedNewest);
   EXPECT_EQ(ring.size(), 2u);
-  IngestItem out;
-  ASSERT_TRUE(ring.pop(out));
-  EXPECT_EQ(out.record.timestamp_us, TimeUs{10});
+  EXPECT_EQ(ring.at(0).record.timestamp_us, TimeUs{10});
 }
 
 TEST(IngestRing, WrapAroundKeepsFifoOrder) {
   IngestRing ring(3, BackpressurePolicy::kBlockProducer);
   IngestItem evicted;
-  IngestItem out;
-  // Interleave pushes and pops so head/tail wrap several times.
-  for (std::int64_t base = 0; base < 30; base += 3) {
-    for (std::int64_t k = 0; k < 3; ++k) {
+  // Interleave pushes and clears of two items so head/tail wrap several
+  // times.
+  for (std::int64_t base = 0; base < 30; base += 2) {
+    for (std::int64_t k = 0; k < 2; ++k) {
       ASSERT_EQ(ring.push(item_at(0, base + k), evicted),
                 PushOutcome::kAccepted);
     }
-    for (std::int64_t k = 0; k < 3; ++k) {
-      ASSERT_TRUE(ring.pop(out));
-      EXPECT_EQ(out.record.timestamp_us, TimeUs{base + k});
+    for (std::size_t k = 0; k < 2; ++k) {
+      EXPECT_EQ(ring.at(k).record.timestamp_us,
+                TimeUs{base + static_cast<std::int64_t>(k)});
     }
+    ring.clear();
   }
 }
 
 TEST(IngestRing, DepthPeakTracksHighWater) {
   IngestRing ring(8, BackpressurePolicy::kBlockProducer);
   IngestItem evicted;
-  IngestItem out;
   ring.push(item_at(0, 1), evicted);
   ring.push(item_at(0, 2), evicted);
   ring.push(item_at(0, 3), evicted);
   EXPECT_EQ(ring.depth_peak(), 3u);
-  ring.pop(out);
-  ring.pop(out);
+  ring.clear();
   EXPECT_EQ(ring.depth_peak(), 3u);  // peak is monotone
   ring.push(item_at(0, 4), evicted);
-  EXPECT_EQ(ring.depth_peak(), 3u);
   ring.push(item_at(0, 5), evicted);
   ring.push(item_at(0, 6), evicted);
+  EXPECT_EQ(ring.depth_peak(), 3u);
+  ring.push(item_at(0, 7), evicted);
   EXPECT_EQ(ring.depth_peak(), 4u);
 }
 

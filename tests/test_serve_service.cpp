@@ -83,15 +83,17 @@ ServeConfig serve_config(unsigned threads, BackpressurePolicy policy,
 constexpr std::size_t kSessions = 3;
 constexpr TimeUs kStagger{1'733};
 
-/// Feeds shared_trace() to `sessions` staggered streams and drains.
-void feed_all(CaptureService& svc, std::size_t sessions, bool poll_each) {
+/// Feeds shared_trace() to `sessions` staggered streams, polling after
+/// every `poll_every`-th submit (0: never), and drains.
+void feed_all(CaptureService& svc, std::size_t sessions,
+              std::size_t poll_every) {
   auto feed = wifi::MultiSessionFeed(
       wifi::fan_out(shared_trace(), sessions, kStagger));
   std::uint32_t session = 0;
   wifi::CaptureRecord rec{};
-  while (feed.next(session, rec)) {
+  for (std::size_t n = 1; feed.next(session, rec); ++n) {
     EXPECT_TRUE(svc.submit(session, rec).ok());
-    if (poll_each) svc.poll();
+    if (poll_every != 0 && n % poll_every == 0) svc.poll();
   }
   svc.drain_all();
 }
@@ -106,7 +108,7 @@ struct RunOutput {
 /// attaches and detaches before any record flows.
 RunOutput run_service(unsigned threads, BackpressurePolicy policy,
                       std::size_t ring_capacity, int attach_variant,
-                      bool poll_each) {
+                      std::size_t poll_every) {
   CaptureService svc(serve_config(threads, policy, ring_capacity));
   if (attach_variant == 0) {
     for (std::uint32_t id = 0; id < kSessions; ++id) {
@@ -119,7 +121,7 @@ RunOutput run_service(unsigned threads, BackpressurePolicy policy,
     }
     EXPECT_TRUE(svc.detach(7).ok());
   }
-  feed_all(svc, kSessions, poll_each);
+  feed_all(svc, kSessions, poll_every);
   RunOutput out;
   for (std::uint32_t id = 0; id < kSessions; ++id) {
     const Session* s = svc.find(id);
@@ -137,7 +139,7 @@ TEST(CaptureService, BlockProducerSmallRingLosesNothing) {
   for (std::uint32_t id = 0; id < kSessions; ++id) {
     ASSERT_TRUE(svc.attach(id).ok());
   }
-  feed_all(svc, kSessions, /*poll_each=*/false);
+  feed_all(svc, kSessions, /*poll_every=*/0);
 
   const auto& c = svc.counters();
   EXPECT_EQ(c.submitted, shared_trace().size() * kSessions);
@@ -273,9 +275,9 @@ TEST(CaptureService, DrainRecoversStrandedTailFrame) {
 
 TEST(CaptureService, OutputsIdenticalAcrossThreadCounts) {
   const RunOutput serial =
-      run_service(1, BackpressurePolicy::kBlockProducer, 64, 0, false);
+      run_service(1, BackpressurePolicy::kBlockProducer, 64, 0, 0);
   const RunOutput parallel =
-      run_service(8, BackpressurePolicy::kBlockProducer, 64, 0, false);
+      run_service(8, BackpressurePolicy::kBlockProducer, 64, 0, 0);
   ASSERT_FALSE(serial.frames.empty());
   EXPECT_EQ(serial.frames, parallel.frames);
   EXPECT_EQ(serial.forensics, parallel.forensics);
@@ -286,9 +288,9 @@ TEST(CaptureService, OutputsIdenticalAcrossAttachInterleaving) {
   // polling must not change a byte of any session's decode output or of
   // the merged forensics.
   const RunOutput plain =
-      run_service(1, BackpressurePolicy::kBlockProducer, 64, 0, false);
+      run_service(1, BackpressurePolicy::kBlockProducer, 64, 0, 0);
   const RunOutput shuffled =
-      run_service(1, BackpressurePolicy::kBlockProducer, 64, 1, true);
+      run_service(1, BackpressurePolicy::kBlockProducer, 64, 1, 1);
   ASSERT_FALSE(plain.frames.empty());
   EXPECT_EQ(plain.frames, shuffled.frames);
   EXPECT_EQ(plain.forensics, shuffled.forensics);
@@ -298,16 +300,86 @@ TEST(CaptureService, OutputsIdenticalAcrossPoliciesWithoutBackpressure) {
   // Polling after every submit keeps the ring depth at <= 1, so no
   // policy ever engages and all three must produce identical bytes.
   const RunOutput block =
-      run_service(1, BackpressurePolicy::kBlockProducer, 64, 0, true);
+      run_service(1, BackpressurePolicy::kBlockProducer, 64, 0, 1);
   const RunOutput oldest =
-      run_service(1, BackpressurePolicy::kDropOldest, 64, 0, true);
+      run_service(1, BackpressurePolicy::kDropOldest, 64, 0, 1);
   const RunOutput newest =
-      run_service(1, BackpressurePolicy::kDropNewest, 64, 0, true);
+      run_service(1, BackpressurePolicy::kDropNewest, 64, 0, 1);
   ASSERT_FALSE(block.frames.empty());
   EXPECT_EQ(block.frames, oldest.frames);
   EXPECT_EQ(block.frames, newest.frames);
   EXPECT_EQ(block.forensics, oldest.forensics);
   EXPECT_EQ(block.forensics, newest.forensics);
+}
+
+/// Decodes a stream's records with a standalone streaming decoder,
+/// keeping each emitted frame's start and payload.
+struct ReplaySink final : reader::FrameSink {
+  std::vector<std::pair<TimeUs, BitVec>> frames;
+  void on_frame(const reader::UplinkDecodeResult& frame) override {
+    frames.emplace_back(frame.start_us, frame.payload);
+  }
+};
+
+TEST(CaptureService, SessionsMatchStandaloneDecoderReplay) {
+  // Three staggered sessions through a 32-slot ring, polled after every
+  // 45th submit: the ring fills and blocks, then wraps with the sessions
+  // interleaved and dispatches from a nonzero head. Each session's
+  // retained frames must equal a standalone decoder replay of its own
+  // records, at every thread count.
+  std::vector<ReplaySink> expected(kSessions);
+  {
+    std::vector<reader::StreamingUplinkDecoder> decoders(
+        kSessions, reader::StreamingUplinkDecoder(stream_config()));
+    auto feed = wifi::MultiSessionFeed(
+        wifi::fan_out(shared_trace(), kSessions, kStagger));
+    std::uint32_t session = 0;
+    wifi::CaptureRecord rec{};
+    while (feed.next(session, rec)) {
+      decoders[session].push(rec, expected[session]);
+    }
+    for (std::uint32_t id = 0; id < kSessions; ++id) {
+      decoders[id].flush(expected[id]);
+      ASSERT_FALSE(expected[id].frames.empty()) << "session " << id;
+    }
+  }
+  for (const unsigned threads : {1u, 2u, 8u}) {
+    CaptureService svc(
+        serve_config(threads, BackpressurePolicy::kBlockProducer, 32));
+    for (std::uint32_t id = 0; id < kSessions; ++id) {
+      ASSERT_TRUE(svc.attach(id).ok());
+    }
+    feed_all(svc, kSessions, /*poll_every=*/45);
+    EXPECT_GT(svc.counters().blocked, 0u);
+    for (std::uint32_t id = 0; id < kSessions; ++id) {
+      const Session* s = svc.find(id);
+      ASSERT_NE(s, nullptr);
+      const auto& want = expected[id].frames;
+      ASSERT_EQ(s->frames_total(), want.size())
+          << "threads " << threads << " session " << id;
+      ASSERT_EQ(s->frames_kept(), want.size());
+      for (std::size_t i = 0; i < want.size(); ++i) {
+        EXPECT_EQ(s->frame(i).start_us, want[i].first);
+        EXPECT_EQ(s->frame(i).payload, want[i].second);
+      }
+    }
+  }
+}
+
+TEST(CaptureService, DropOldestOutputsIdenticalAcrossThreadCounts) {
+  // An 8-slot ring polled after every 10th submit evicts two records per
+  // poll, interleaved across the sessions; the survivors must decode to
+  // the same bytes at every thread count.
+  const RunOutput serial =
+      run_service(1, BackpressurePolicy::kDropOldest, 8, 0, 10);
+  ASSERT_FALSE(serial.frames.empty());
+  ASSERT_NE(serial.forensics.find("\"backpressure\""), std::string::npos);
+  for (const unsigned threads : {2u, 8u}) {
+    const RunOutput parallel =
+        run_service(threads, BackpressurePolicy::kDropOldest, 8, 0, 10);
+    EXPECT_EQ(serial.frames, parallel.frames) << "threads " << threads;
+    EXPECT_EQ(serial.forensics, parallel.forensics) << "threads " << threads;
+  }
 }
 
 TEST(CaptureService, ErrorTaxonomy) {
@@ -318,6 +390,14 @@ TEST(CaptureService, ErrorTaxonomy) {
     EXPECT_TRUE(svc.attach(id).ok());
   }
   EXPECT_EQ(svc.attach(9).code(), ErrorCode::kCapacity);
+  EXPECT_EQ(svc.active_sessions(), 8u);
+  ASSERT_NE(svc.find(8), nullptr);
+  EXPECT_EQ(svc.find(8)->id(), 8u);
+  EXPECT_EQ(svc.find(9), nullptr);
+  // Detaching frees the slot for a new id.
+  EXPECT_TRUE(svc.detach(8).ok());
+  EXPECT_EQ(svc.find(8), nullptr);
+  EXPECT_TRUE(svc.attach(9).ok());
   EXPECT_EQ(svc.detach(99).code(), ErrorCode::kNotFound);
   wifi::CaptureRecord rec{};
   EXPECT_EQ(svc.submit(99, rec).code(), ErrorCode::kNotFound);
